@@ -15,6 +15,10 @@ Feher-Nemethi-Rimanyi family).  Both sides then live in the polynomial
 ring and are compared structurally; no rational-function arithmetic exists
 anywhere in the package.
 
+The corollaries are parameter maps into the two families: Good's identity
+is the GM-type identity at lam = (n-1,), Louck's at lam = (m,), and Good's
+k-subset identity the FNR-type identity at lam = 0^k, m = k.
+
 An optional randomized pre-check evaluates both cleared sides at seeded
 random rational points first; a disagreement is a proof of failure and is
 reported with the witness point, while agreement never replaces the
@@ -23,11 +27,9 @@ canonical comparison unless sampling-only mode was requested explicitly.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
@@ -70,19 +72,20 @@ IDENTITY_TAGS = (
 # subset bookkeeping and denominator clearing
 
 
-@dataclass(frozen=True)
-class SubsetTerm:
-    """One subset's share of a cleared identity."""
-
-    S: tuple[int, ...]
-    complement: tuple[int, ...]
-    sign: int
-    cofactor: Polynomial
-
-
 def _complement(S: Sequence[int], n: int) -> tuple[int, ...]:
     s = set(S)
     return tuple(j for j in range(1, n + 1) if j not in s)
+
+
+def _clear_denominator(
+    S: Sequence[int], n: int, k: int, universe: VariableUniverse, parity: int
+) -> tuple[int, Polynomial]:
+    S = tuple(sorted(S))
+    if len(S) != k:
+        raise ValueError("|S| must equal k")
+    sign = -1 if (parity + sum(S)) % 2 else 1
+    cof = universe.vandermonde(S) * universe.vandermonde(_complement(S, n))
+    return sign, cof
 
 
 def clear_denominator_gm(
@@ -93,12 +96,7 @@ def clear_denominator_gm(
     The sign is (-1)^{binom(k+1,2) + sum(S)} (a negated exponent has the
     same parity).
     """
-    S = tuple(sorted(S))
-    if len(S) != k:
-        raise ValueError("|S| must equal k")
-    sign = -1 if (k * (k + 1) // 2 + sum(S)) % 2 else 1
-    cof = universe.vandermonde(S) * universe.vandermonde(_complement(S, n))
-    return sign, cof
+    return _clear_denominator(S, n, k, universe, k * (k + 1) // 2)
 
 
 def clear_denominator_fnr(
@@ -106,12 +104,7 @@ def clear_denominator_fnr(
 ) -> tuple[int, Polynomial]:
     """Sign and cofactor with V = sign * cofactor * prod_{i in S, j notin S}(x_j - x_i);
     the sign is (-1)^{n k - binom(k,2) + sum(S)}."""
-    S = tuple(sorted(S))
-    if len(S) != k:
-        raise ValueError("|S| must equal k")
-    sign = -1 if (n * k + k * (k - 1) // 2 + sum(S)) % 2 else 1
-    cof = universe.vandermonde(S) * universe.vandermonde(_complement(S, n))
-    return sign, cof
+    return _clear_denominator(S, n, k, universe, n * k + k * (k - 1) // 2)
 
 
 def cross_product(
@@ -124,27 +117,6 @@ def cross_product(
             d = universe.x(i) - universe.x(j)
             out = out * (-d if reversed_sign else d)
     return out
-
-
-def subset_terms(
-    n: int, k: int, universe: VariableUniverse, *, orientation: str = "gm"
-) -> list[SubsetTerm]:
-    clear = clear_denominator_gm if orientation == "gm" else clear_denominator_fnr
-    out = []
-    for S in combinations(range(1, n + 1), k):
-        sign, cof = clear(S, n, k, universe)
-        out.append(SubsetTerm(S=S, complement=_complement(S, n), sign=sign, cofactor=cof))
-    return out
-
-
-def _pmap(fn, items):
-    """Ordered map honoring the GROTHENDIECK_THREADS cap (default 1)."""
-    items = list(items)
-    threads = int(os.environ.get("GROTHENDIECK_THREADS", "1") or "1")
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # --------------------------------------------------------------------------
@@ -274,15 +246,8 @@ def _gm_sides(lam, n, builder):
         lhs = g_determinant(shifted, n, universe=U) * V
     else:
         lhs = builder(shifted, n, universe=U) * V
-    pw = {j: _one_plus_bx(U, j) ** k for j in range(1, n + 1)}
-
-    def term(S):
-        sign, cof = clear_denominator_gm(S, n, k, U)
-        g_s = restrict(builder, Partition(lam), S, U)
-        tail = poly_prod(U, (pw[j] for j in _complement(S, n)))
-        return g_s * tail * cof * sign
-
-    rhs = poly_sum(U, _pmap(term, combinations(range(1, n + 1), k)))
+    subsets = combinations(range(1, n + 1), k)
+    rhs = poly_sum(U, (gm_cleared_term(lam, n, S, U, builder) for S in subsets))
     return U, lhs, rhs
 
 
@@ -292,8 +257,9 @@ def verify_gm_type(lam: Sequence[int], n: int, *, builder=g_tableau, **opts) -> 
     When lam_k - n + k < 0 the shifted index mu is not a partition and has
     no tableaux; the left side is then G_mu := g_determinant(mu, n), the
     determinant quotient of the zero-padded mu, whatever the builder.  It is
-    a multiple of beta (-b at lam=(0), n=2, k=1) and vanishes at beta = 0, where the numerator has two equal columns: the
-    classical convention, see verify_classical.
+    a multiple of beta (-b at lam=(0), n=2, k=1) and vanishes at beta = 0,
+    where the numerator has two equal columns: the classical convention,
+    see verify_classical.
     """
     started = time.perf_counter()
     lam = _as_lam(lam)
@@ -303,25 +269,18 @@ def verify_gm_type(lam: Sequence[int], n: int, *, builder=g_tableau, **opts) -> 
 
 
 def verify_good_general(n: int, *, builder=g_tableau, **opts) -> IdentityReport:
-    """1 = sum_i [x_i|y]^{n-1} prod_{j != i} (1+b x_j)/(x_i - x_j), cleared by V."""
+    """1 = sum_i [x_i|y]^{n-1} prod_{j != i} (1+b x_j)/(x_i - x_j), cleared by V:
+    the GM-type identity at lam = (n-1,)."""
     started = time.perf_counter()
     if n < 1:
         raise PreconditionViolatedError("n must be positive")
-    U = VariableUniverse(n, max(n - 1, 0))
-    lhs = U.vandermonde(range(1, n + 1))
-
-    def term(S):
-        (i,) = S
-        sign, cof = clear_denominator_gm(S, n, 1, U)
-        tail = poly_prod(U, (_one_plus_bx(U, j) for j in _complement(S, n)))
-        return U.bracket_pow(i, n - 1) * tail * cof * sign
-
-    rhs = poly_sum(U, _pmap(term, combinations(range(1, n + 1), 1)))
+    U, lhs, rhs = _gm_sides((n - 1,), n, builder)
     return _finish("good_general", {"n": n}, U, lhs, rhs, started, opts)
 
 
 def verify_louck_general(m: int, n: int, *, builder=g_tableau, **opts) -> IdentityReport:
-    """h_{m-n+1}(x|y) = sum_i [x_i|y]^m prod_{j != i} (1+b x_j)/(x_i - x_j).
+    """h_{m-n+1}(x|y) = sum_i [x_i|y]^m prod_{j != i} (1+b x_j)/(x_i - x_j):
+    the GM-type identity at lam = (m,).
 
     The complete-homogeneous left side is realized as the single-row
     polynomial G_{(m-n+1)}(x|y); requires m >= n-1.
@@ -329,17 +288,7 @@ def verify_louck_general(m: int, n: int, *, builder=g_tableau, **opts) -> Identi
     started = time.perf_counter()
     if n < 1 or m < n - 1:
         raise PreconditionViolatedError(f"need m >= n-1 >= 0, got m={m}, n={n}")
-    U = VariableUniverse(n, m)
-    V = U.vandermonde(range(1, n + 1))
-    lhs = builder((m - n + 1,), n, universe=U) * V
-
-    def term(S):
-        (i,) = S
-        sign, cof = clear_denominator_gm(S, n, 1, U)
-        tail = poly_prod(U, (_one_plus_bx(U, j) for j in _complement(S, n)))
-        return U.bracket_pow(i, m) * tail * cof * sign
-
-    rhs = poly_sum(U, _pmap(term, combinations(range(1, n + 1), 1)))
+    U, lhs, rhs = _gm_sides((m,), n, builder)
     return _finish("louck_general", {"m": m, "n": n}, U, lhs, rhs, started, opts)
 
 
@@ -362,6 +311,7 @@ def fnr_cleared_term(
     g_s = restrict(builder, Partition(lam), S, universe)
     head = poly_prod(universe, (_one_plus_bx(universe, i) ** (n - k) for i in S))
     tail = poly_prod(universe, (universe.bracket_pow(j, m) for j in _complement(S, n)))
+    # the bracket product is by far the largest factor; multiply it last
     return (g_s * head * cof * sign) * tail
 
 
@@ -379,19 +329,8 @@ def _fnr_sides(lam, m, n, builder):
     V = U.vandermonde(range(1, n + 1))
     mu = (m - k,) * (n - k) + tuple(lam)
     lhs = builder(mu, n, universe=U) * V
-    powers = {i: _one_plus_bx(U, i) ** (n - k) for i in range(1, n + 1)}
-    # brackets appear only for complement members, which exist only when k < n
-    brackets = {j: U.bracket_pow(j, m) for j in range(1, n + 1)} if k < n else {}
-
-    def term(S):
-        sign, cof = clear_denominator_fnr(S, n, k, U)
-        g_s = restrict(builder, Partition(lam), S, U)
-        head = poly_prod(U, (powers[i] for i in S))
-        tail = poly_prod(U, (brackets[j] for j in _complement(S, n)))
-        # the bracket product is by far the largest factor; multiply it last
-        return (g_s * head * cof * sign) * tail
-
-    rhs = poly_sum(U, _pmap(term, combinations(range(1, n + 1), k)))
+    subsets = combinations(range(1, n + 1), k)
+    rhs = poly_sum(U, (fnr_cleared_term(lam, m, n, S, U, builder) for S in subsets))
     return U, lhs, rhs
 
 
@@ -409,22 +348,12 @@ def verify_fnr_type(
 
 
 def verify_good_k_general(n: int, k: int, *, builder=g_tableau, **opts) -> IdentityReport:
-    """1 = sum_S prod_{i in S}(1+b x_i)^{n-k} prod_{j notin S}[x_j|y]^k / prod(x_j - x_i)."""
+    """1 = sum_S prod_{i in S}(1+b x_i)^{n-k} prod_{j notin S}[x_j|y]^k / prod(x_j - x_i):
+    the FNR-type identity at lam = 0^k, m = k."""
     started = time.perf_counter()
     if not 0 <= k <= n or n < 1:
         raise PreconditionViolatedError(f"need 0 <= k <= n, got k={k}, n={n}")
-    U = VariableUniverse(n, k)
-    lhs = U.vandermonde(range(1, n + 1))
-    powers = {i: _one_plus_bx(U, i) ** (n - k) for i in range(1, n + 1)}
-    brackets = {j: U.bracket_pow(j, k) for j in range(1, n + 1)}
-
-    def term(S):
-        sign, cof = clear_denominator_fnr(S, n, k, U)
-        head = poly_prod(U, (powers[i] for i in S))
-        tail = poly_prod(U, (brackets[j] for j in _complement(S, n)))
-        return head * tail * cof * sign
-
-    rhs = poly_sum(U, _pmap(term, combinations(range(1, n + 1), k)))
+    U, lhs, rhs = _fnr_sides((0,) * k, k, n, builder)
     return _finish("good_k_general", {"n": n, "k": k}, U, lhs, rhs, started, opts)
 
 
@@ -483,67 +412,45 @@ def verify_e_beta_recurrence(k: int, n: int, **opts) -> IdentityReport:
 # classical specializations
 
 
-def _classicalize(U: VariableUniverse, p: Polynomial, *, kill_y: bool = True) -> Polynomial:
-    bindings: dict[str, int] = {"b": 0}
-    if kill_y:
-        bindings.update({f"y{j}": 0 for j in range(1, U.n_y + 1)})
+def _classicalize(U: VariableUniverse, p: Polynomial) -> Polynomial:
+    bindings = {"b": 0, **{f"y{j}": 0 for j in range(1, U.n_y + 1)}}
     return p.substitute(bindings)
 
 
 def verify_classical(which: str, params: dict, *, builder=g_tableau, **opts) -> IdentityReport:
     """beta = 0 (and y = 0) instances of the four classical identities.
 
-    classical_gm / classical_fnr / classical_louck substitute into the
-    cleared sides of the corresponding general verifier; classical_good
-    additionally checks the reciprocal form 1 = sum_i prod_{j != i}
-    (1 - x_i/x_j)^{-1} at seeded random rational points with distinct
-    nonzero coordinates.
+    Each substitutes into the cleared sides of the corresponding general
+    verifier; classical_good additionally checks the reciprocal form
+    1 = sum_i prod_{j != i} (1 - x_i/x_j)^{-1} at seeded random rational
+    points with distinct nonzero coordinates.
     """
     started = time.perf_counter()
     if which == "classical_gm":
-        lam = _as_lam(params["lam"])
-        n = params["n"]
-        U, lhs, rhs = _gm_sides(lam, n, builder)
-        lhs, rhs = _classicalize(U, lhs), _classicalize(U, rhs)
-        out_params = {"lam": list(lam), "n": n, "k": len(lam)}
-        return _finish(which, out_params, U, lhs, rhs, started, opts)
-    if which == "classical_fnr":
-        lam = _as_lam(params["lam"])
-        m, n = params["m"], params["n"]
-        U, lhs, rhs = _fnr_sides(lam, m, n, builder)
-        lhs, rhs = _classicalize(U, lhs), _classicalize(U, rhs)
-        out_params = {"lam": list(lam), "m": m, "n": n, "k": len(lam)}
-        return _finish(which, out_params, U, lhs, rhs, started, opts)
-    if which == "classical_louck":
-        m, n = params["m"], params["n"]
-        rep = verify_louck_general(m, n, builder=builder)
-        U = rep.lhs.universe
-        lhs, rhs = _classicalize(U, rep.lhs), _classicalize(U, rep.rhs)
-        return _finish(which, {"m": m, "n": n}, U, lhs, rhs, started, opts)
-    if which == "classical_good":
-        n = params["n"]
-        trials = params.get("trials", 100)
-        seed = params.get("seed", opts.get("seed", 0))
-        rep = verify_good_general(n, builder=builder)
-        U = rep.lhs.universe
-        lhs, rhs = _classicalize(U, rep.lhs), _classicalize(U, rep.rhs)
-        witness = _good_reciprocal_witness(n, trials, seed)
-        report = _finish(
-            which, {"n": n, "trials": trials, "seed": seed}, U, lhs, rhs, started, opts
+        rep = verify_gm_type(params["lam"], params["n"], builder=builder)
+    elif which == "classical_fnr":
+        rep = verify_fnr_type(params["lam"], params["m"], params["n"], builder=builder)
+    elif which == "classical_louck":
+        rep = verify_louck_general(params["m"], params["n"], builder=builder)
+    elif which == "classical_good":
+        rep = verify_good_general(params["n"], builder=builder)
+    else:
+        raise PreconditionViolatedError(f"unknown classical identity {which!r}")
+    U = rep.lhs.universe
+    lhs, rhs = _classicalize(U, rep.lhs), _classicalize(U, rep.rhs)
+    if which != "classical_good":
+        return _finish(which, rep.params, U, lhs, rhs, started, opts)
+    n = params["n"]
+    trials = params.get("trials", 100)
+    seed = params.get("seed", opts.get("seed", 0))
+    out_params = {"n": n, "trials": trials, "seed": seed}
+    report = _finish(which, out_params, U, lhs, rhs, started, opts)
+    witness = _good_reciprocal_witness(n, trials, seed)
+    if witness is not None and report.verdict == "pass":
+        report = replace(
+            report, verdict="fail", witness=witness, elapsed=time.perf_counter() - started
         )
-        if witness is not None and report.verdict == "pass":
-            report = IdentityReport(
-                identity=which,
-                params=report.params,
-                lhs=lhs,
-                rhs=rhs,
-                verdict="fail",
-                witness=witness,
-                elapsed=time.perf_counter() - started,
-                canonical=report.canonical,
-            )
-        return report
-    raise PreconditionViolatedError(f"unknown classical identity {which!r}")
+    return report
 
 
 def _good_reciprocal_witness(n: int, trials: int, seed: int) -> RationalPoint | None:

@@ -71,6 +71,21 @@ def test_verify_precondition_exit_2(capsys):
     assert "lam_1 <= m-k" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("good_k_general", "--n", "3", "--k", "-1"), "need 0 <= k <= n, got k=-1, n=3"),
+        (("good_k_general", "--n", "3", "--k", "4"), "need 0 <= k <= n, got k=4, n=3"),
+        (("good_general", "--n", "0"), "n must be positive"),
+        (("louck_general", "--m", "1", "--n", "3"), "need m >= n-1 >= 0, got m=1, n=3"),
+    ],
+)
+def test_verify_corollary_precondition_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_missing_params_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "gm_type", "--shape", "1")
     assert code == 2

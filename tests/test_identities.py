@@ -21,7 +21,6 @@ from grothpoly import (
     g_divided_difference,
     gm_cleared_term,
     run_case,
-    subset_terms,
     verify_classical,
     verify_e_beta_recurrence,
     verify_fnr_type,
@@ -60,14 +59,19 @@ def test_clearing_factorizations_reproduce_vandermonde():
                 assert c2 * cross_product(S, n, U, reversed_sign=True) * s2 == V
 
 
-def test_subset_terms_structure():
-    U = VariableUniverse(4, 0)
-    terms = subset_terms(4, 2, U, orientation="gm")
-    assert len(terms) == 6
-    for t in terms:
-        assert len(t.S) == 2
-        assert sorted(t.S + t.complement) == [1, 2, 3, 4]
-        assert t.sign in (-1, 1)
+def test_clearing_shares_cofactor_and_checks_subset_size():
+    # both orientations clear with the same cofactor; the crosses differ by
+    # (-1)^{k(n-k)}, and so do the signs
+    n, k = 4, 2
+    U = VariableUniverse(n, 0)
+    for S in combinations(range(1, n + 1), k):
+        s_gm, c_gm = clear_denominator_gm(S, n, k, U)
+        s_fnr, c_fnr = clear_denominator_fnr(S, n, k, U)
+        assert s_gm in (-1, 1) and c_gm == c_fnr
+        assert s_fnr == s_gm * (-1) ** (k * (n - k))
+    for clear in (clear_denominator_gm, clear_denominator_fnr):
+        with pytest.raises(ValueError, match=r"\|S\| must equal k"):
+            clear((1, 2, 3), n, k, U)
 
 
 # -- Gustafson-Milne family ---------------------------------------------------
@@ -211,9 +215,40 @@ def test_good_k_general():
     assert rep.rhs == rep.lhs.universe.vandermonde([1, 2, 3])
     # k = n-1 specializes to the Good identity (same cleared sides)
     a = verify_good_k_general(3, 2)
-    # good_general universe has n_y = n-1 = k: same
+    # both parameter maps give the universe n_y = n-1
     b = verify_good_general(3)
     assert a.lhs == b.lhs and a.rhs == b.rhs
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: verify_good_k_general(3, -1), "need 0 <= k <= n, got k=-1, n=3"),
+        (lambda: verify_good_k_general(3, 4), "need 0 <= k <= n, got k=4, n=3"),
+        (lambda: verify_good_general(0), "n must be positive"),
+        (lambda: verify_louck_general(1, 3), "need m >= n-1 >= 0, got m=1, n=3"),
+    ],
+)
+def test_corollary_maps_check_their_own_preconditions(call, message):
+    # a value outside a corollary's range must not reach the family it maps into
+    with pytest.raises(PreconditionViolatedError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_corollaries_honor_builder():
+    for verify, args in ((verify_good_general, (3,)), (verify_good_k_general, (4, 2))):
+        calls = []
+
+        def recording_determinant(shape, n, *, universe=None):
+            calls.append((tuple(shape), n))
+            return g_determinant(shape, n, universe=universe)
+
+        a = verify(*args)
+        b = verify(*args, builder=recording_determinant)
+        assert calls, verify.__name__
+        assert a.passed and b.passed
+        assert a.lhs == b.lhs and a.rhs == b.rhs
 
 
 # -- determinant lemma and deformed elementary symmetric functions -------------
@@ -390,11 +425,3 @@ def test_run_case_dispatch():
     assert run_case("good_general", {"n": 2}).passed
     with pytest.raises(PreconditionViolatedError):
         run_case("no_such_identity", {})
-
-
-def test_thread_cap_preserves_results(monkeypatch):
-    base = verify_gm_type((2, 1), 3)
-    monkeypatch.setenv("GROTHENDIECK_THREADS", "4")
-    threaded = verify_gm_type((2, 1), 3)
-    assert threaded.verdict == base.verdict
-    assert threaded.lhs == base.lhs and threaded.rhs == base.rhs
