@@ -24,24 +24,11 @@ from .grothendieck import (
     g_divided_difference,
     g_tableau,
 )
-from .identities import (
-    IDENTITY_TAGS,
-    PreconditionViolatedError,
-    run_case,
-    run_suite,
-)
-from .poly import DegreeOverflowError, UniverseMismatchError
+from .identities import IDENTITY_TAGS, run_case, run_suite
+from .poly import DegreeOverflowError
 from .tableaux import InvalidPartitionError, Partition, enumerate_tableaux
 
-_PARAM_ERRORS = (
-    PreconditionViolatedError,
-    InvalidShapeError,
-    InvalidPartitionError,
-    EmbeddingError,
-    UniverseMismatchError,
-    DegreeOverflowError,
-    ValueError,
-)
+_PARAM_ERRORS = (ValueError, DegreeOverflowError)
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -136,31 +123,10 @@ def _verifier_params(args) -> dict:
     return params
 
 
-_REQUIRED = {
-    "gm_type": ("lam", "n"),
-    "fnr_type": ("lam", "m", "n"),
-    "vandermonde_lemma": ("n",),
-    "e_beta_recurrence": ("k", "n"),
-    "good_general": ("n",),
-    "louck_general": ("m", "n"),
-    "good_k_general": ("n", "k"),
-    "classical_gm": ("lam", "n"),
-    "classical_fnr": ("lam", "m", "n"),
-    "classical_good": ("n",),
-    "classical_louck": ("m", "n"),
-}
-
-
 def cmd_verify(args) -> int:
-    params = _verifier_params(args)
-    missing = [p for p in _REQUIRED[args.identity] if p not in params]
-    if missing:
-        raise PreconditionViolatedError(
-            f"{args.identity} needs {', '.join('--' + m.replace('lam', 'shape') for m in missing)}"
-        )
     report = run_case(
         args.identity,
-        params,
+        _verifier_params(args),
         seed=args.seed,
         fast_trials=args.fast_trials,
         fast_only=args.fast_only,

@@ -28,12 +28,13 @@ bialternant convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .poly import (
     Polynomial,
     UniverseMismatchError,
     VariableUniverse,
+    cofactor_expansion,
     exact_div,
     poly_sum,
 )
@@ -91,6 +92,18 @@ def _determinant_index(shape, n: int) -> tuple[int, ...]:
     return shape.padded(n)
 
 
+def determinant_numerator(
+    exponents: Sequence[int], universe: VariableUniverse
+) -> list[list[Polynomial]]:
+    """The rows [x_i|y]^{e_j} (1+b x_i)^{j-1}, i, j = 1..n, for exponents e_1..e_n."""
+    U = universe
+    rows = []
+    for i in range(1, len(exponents) + 1):
+        one_plus_bx = U.one() + U.beta() * U.x(i)
+        rows.append([U.bracket_pow(i, e) * one_plus_bx**j for j, e in enumerate(exponents)])
+    return rows
+
+
 def g_determinant(shape, n: int, *, universe: VariableUniverse | None = None) -> Polynomial:
     """Determinant quotient construction (zero-pads the shape to n rows).
 
@@ -100,50 +113,24 @@ def g_determinant(shape, n: int, *, universe: VariableUniverse | None = None) ->
     The default universe reaches the largest exponent, max_j lam_j + n - j,
     which for a partition is the usual n + lam_1 - 1.
 
-    The numerator determinant is alternating in the rows, hence exactly
-    divisible by every Vandermonde factor; a NotDivisibleError here would be
-    a fatal internal error, not a caller mistake.
-
-    The quotient is computed by a memoized cofactor expansion that peels the
-    Vandermonde off level by level: the value stored for a column subset is
-    the corresponding minor divided by the Vandermonde of its own row range
-    (the minor over rows r..n is alternating in those rows, so the quotient
-    exists at every level).  Intermediate values stay quotient-sized instead
-    of carrying the full Vandermonde factor.
+    The numerator goes through the shared cofactor expansion
+    (poly.cofactor_expansion), which here divides each level's minor over
+    rows r..n by the Vandermonde of that row range.  The minor is
+    alternating in those rows, so the division is exact (a NotDivisibleError
+    would be an internal error) and intermediates stay quotient-sized.
     """
     lam = _determinant_index(shape, n)
     exponents = [lam[j - 1] + n - j for j in range(1, n + 1)]
     U = universe if universe is not None else VariableUniverse(n, max(exponents, default=0))
-    rows = []
-    for i in range(1, n + 1):
-        one_plus_bx = U.one() + U.beta() * U.x(i)
-        row = []
-        for j in range(1, n + 1):
-            row.append(U.bracket_pow(i, exponents[j - 1]) * one_plus_bx ** (j - 1))
-        rows.append(row)
+    if n == 0:  # the empty determinant, which cofactor_expansion rejects
+        return U.one()
 
-    memo: dict[int, Polynomial] = {0: U.one()}
+    def divide_out_vandermonde(r: int, minor: Polynomial) -> Polynomial:
+        for j in range(r + 2, n + 1):
+            minor = exact_div(minor, U.x(r + 1) - U.x(j))
+        return minor
 
-    def reduced_minor(mask: int) -> Polynomial:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        size = bin(mask).count("1")
-        r = n - size + 1  # 1-based row of this level
-        acc = U.zero()
-        sign = 1
-        for c in range(n):
-            bit = 1 << c
-            if not mask & bit:
-                continue
-            acc = acc + rows[r - 1][c] * reduced_minor(mask ^ bit) * sign
-            sign = -sign
-        for j in range(r + 1, n + 1):
-            acc = exact_div(acc, U.x(r) - U.x(j))
-        memo[mask] = acc
-        return acc
-
-    return reduced_minor((1 << n) - 1)
+    return cofactor_expansion(determinant_numerator(exponents, U), divide_out_vandermonde)
 
 
 @dataclass(frozen=True)

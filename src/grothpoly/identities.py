@@ -17,7 +17,9 @@ anywhere in the package.
 
 The corollaries are parameter maps into the two families: Good's identity
 is the GM-type identity at lam = (n-1,), Louck's at lam = (m,), and Good's
-k-subset identity the FNR-type identity at lam = 0^k, m = k.
+k-subset identity the FNR-type identity at lam = 0^k, m = k.  One table
+maps each identity tag to its verifier and parameter names (each classical
+tag to the general tag it specializes); run_case dispatches through it.
 
 An optional randomized pre-check evaluates both cleared sides at seeded
 random rational points first; a disagreement is a proof of failure and is
@@ -34,7 +36,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
-from .grothendieck import g_determinant, g_tableau, restrict
+from .grothendieck import determinant_numerator, g_determinant, g_tableau, restrict
 from .poly import (
     Polynomial,
     RationalPoint,
@@ -51,21 +53,6 @@ _DEFAULT_FAST_TRIALS = 20
 
 class PreconditionViolatedError(ValueError):
     """Parameters outside the asserted range of the identity."""
-
-
-IDENTITY_TAGS = (
-    "gm_type",
-    "fnr_type",
-    "vandermonde_lemma",
-    "e_beta_recurrence",
-    "good_general",
-    "louck_general",
-    "good_k_general",
-    "classical_gm",
-    "classical_good",
-    "classical_louck",
-    "classical_fnr",
-)
 
 
 # --------------------------------------------------------------------------
@@ -362,16 +349,16 @@ def verify_good_k_general(n: int, k: int, *, builder=g_tableau, **opts) -> Ident
 
 
 def verify_vandermonde_lemma(n: int, **opts) -> IdentityReport:
-    """det([x_r|y]^{n-c} (1+b x_r)^{c-1})_{r,c} = prod_{i<j}(x_i - x_j)."""
+    """det([x_r|y]^{n-c} (1+b x_r)^{c-1})_{r,c} = prod_{i<j}(x_i - x_j).
+
+    The left side is g_determinant's numerator at lam = empty (exponents
+    n - c), expanded in full.
+    """
     started = time.perf_counter()
     if n < 1:
         raise PreconditionViolatedError("n must be positive")
     U = VariableUniverse(n, max(n - 1, 0))
-    rows = []
-    for r in range(1, n + 1):
-        opb = _one_plus_bx(U, r)
-        rows.append([U.bracket_pow(r, n - c) * opb ** (c - 1) for c in range(1, n + 1)])
-    lhs = determinant(rows)
+    lhs = determinant(determinant_numerator(range(n - 1, -1, -1), U))
     rhs = U.vandermonde(range(1, n + 1))
     return _finish("vandermonde_lemma", {"n": n}, U, lhs, rhs, started, opts)
 
@@ -426,16 +413,10 @@ def verify_classical(which: str, params: dict, *, builder=g_tableau, **opts) -> 
     points with distinct nonzero coordinates.
     """
     started = time.perf_counter()
-    if which == "classical_gm":
-        rep = verify_gm_type(params["lam"], params["n"], builder=builder)
-    elif which == "classical_fnr":
-        rep = verify_fnr_type(params["lam"], params["m"], params["n"], builder=builder)
-    elif which == "classical_louck":
-        rep = verify_louck_general(params["m"], params["n"], builder=builder)
-    elif which == "classical_good":
-        rep = verify_good_general(params["n"], builder=builder)
-    else:
+    if not isinstance(_IDENTITIES.get(which), str):
         raise PreconditionViolatedError(f"unknown classical identity {which!r}")
+    verifier, args = _arguments(which, params)
+    rep = verifier(*args, builder=builder)
     U = rep.lhs.universe
     lhs, rhs = _classicalize(U, rep.lhs), _classicalize(U, rep.rhs)
     if which != "classical_good":
@@ -548,24 +529,46 @@ def suite_cases(seed: int = 0):
     )
 
 
+# --------------------------------------------------------------------------
+# the identity table
+
+# tag -> (verifier, parameter names in positional order); a classical tag
+# maps to the general tag whose cleared sides it specializes
+_IDENTITIES = {
+    "gm_type": (verify_gm_type, ("lam", "n")),
+    "fnr_type": (verify_fnr_type, ("lam", "m", "n")),
+    "vandermonde_lemma": (verify_vandermonde_lemma, ("n",)),
+    "e_beta_recurrence": (verify_e_beta_recurrence, ("k", "n")),
+    "good_general": (verify_good_general, ("n",)),
+    "louck_general": (verify_louck_general, ("m", "n")),
+    "good_k_general": (verify_good_k_general, ("n", "k")),
+    "classical_gm": "gm_type",
+    "classical_good": "good_general",
+    "classical_louck": "louck_general",
+    "classical_fnr": "fnr_type",
+}
+
+IDENTITY_TAGS = tuple(_IDENTITIES)
+
+
+def _arguments(identity: str, params: dict):
+    """The general verifier behind a tag and its positional arguments from params."""
+    entry = _IDENTITIES.get(identity)
+    if entry is None:
+        raise PreconditionViolatedError(f"unknown identity {identity!r}")
+    verifier, names = _IDENTITIES[entry] if isinstance(entry, str) else entry
+    missing = [name for name in names if name not in params]
+    if missing:
+        flags = ", ".join("--" + name.replace("lam", "shape") for name in missing)
+        raise PreconditionViolatedError(f"{identity} needs {flags}")
+    return verifier, [params[name] for name in names]
+
+
 def run_case(identity: str, params: dict, **opts) -> IdentityReport:
-    if identity == "gm_type":
-        return verify_gm_type(params["lam"], params["n"], **opts)
-    if identity == "fnr_type":
-        return verify_fnr_type(params["lam"], params["m"], params["n"], **opts)
-    if identity == "vandermonde_lemma":
-        return verify_vandermonde_lemma(params["n"], **opts)
-    if identity == "e_beta_recurrence":
-        return verify_e_beta_recurrence(params["k"], params["n"], **opts)
-    if identity == "good_general":
-        return verify_good_general(params["n"], **opts)
-    if identity == "louck_general":
-        return verify_louck_general(params["m"], params["n"], **opts)
-    if identity == "good_k_general":
-        return verify_good_k_general(params["n"], params["k"], **opts)
-    if identity.startswith("classical_"):
+    verifier, args = _arguments(identity, params)
+    if isinstance(_IDENTITIES[identity], str):
         return verify_classical(identity, params, **opts)
-    raise PreconditionViolatedError(f"unknown identity {identity!r}")
+    return verifier(*args, **opts)
 
 
 def run_suite(*, seed: int = 0, fast_trials: int = 0, fast_only: bool = False):

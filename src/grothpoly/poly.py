@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 _EXP_BITS = 8
 _EXP_MASK = (1 << _EXP_BITS) - 1
@@ -244,9 +244,6 @@ class Polynomial:
     def degree_in(self, name: str) -> int:
         s = self.universe.shift_of(name)
         return max(((k >> s) & _EXP_MASK for k in self._terms), default=0)
-
-    def constant_coefficient(self) -> int:
-        return self._terms.get(0, 0)
 
     def terms_sorted(self) -> list[tuple[dict[str, int], int]]:
         """Terms as (sparse exponent map, coefficient), canonical order (leading first)."""
@@ -658,6 +655,18 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
 
 def determinant(rows: list[list[Polynomial]]) -> Polynomial:
     """Exact determinant by cofactor expansion memoized over column subsets."""
+    return cofactor_expansion(rows, lambda r, minor: minor)
+
+
+def cofactor_expansion(
+    rows: list[list[Polynomial]], reduce: Callable[[int, Polynomial], Polynomial]
+) -> Polynomial:
+    """Cofactor expansion along the rows, memoized over column subsets.
+
+    The value stored for s columns is reduce(r, minor), with minor the
+    expansion of rows r = n-s..n-1 (0-based) on them over the stored values
+    of the next level.  determinant passes the identity for reduce.
+    """
     n = len(rows)
     if n == 0:
         raise ValueError("determinant of an empty matrix is not defined here")
@@ -683,10 +692,9 @@ def determinant(rows: list[list[Polynomial]]) -> Polynomial:
             bit = 1 << c
             if not mask & bit:
                 continue
-            sub = minor(mask ^ bit)
-            acc = acc + rows[r][c] * sub * sign
+            acc = acc + rows[r][c] * minor(mask ^ bit) * sign
             sign = -sign
-        memo[mask] = acc
+        acc = memo[mask] = reduce(r, acc)
         return acc
 
     return minor((1 << n) - 1)

@@ -1,6 +1,8 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -86,10 +88,38 @@ def test_verify_corollary_precondition_exit_2(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
-def test_verify_missing_params_exit_2(capsys):
-    code, _, err = run_cli(capsys, "verify", "gm_type", "--shape", "1")
-    assert code == 2
-    assert "--n" in err
+_MISSING_FLAGS = {
+    "gm_type": "--shape, --n",
+    "fnr_type": "--shape, --m, --n",
+    "vandermonde_lemma": "--n",
+    "e_beta_recurrence": "--k, --n",
+    "good_general": "--n",
+    "louck_general": "--m, --n",
+    "good_k_general": "--n, --k",
+    "classical_gm": "--shape, --n",
+    "classical_good": "--n",
+    "classical_louck": "--m, --n",
+    "classical_fnr": "--shape, --m, --n",
+}
+
+
+@pytest.mark.parametrize("identity", identities.IDENTITY_TAGS)
+def test_verify_missing_params_exit_2(capsys, identity):
+    flags = _MISSING_FLAGS[identity]
+    code, out, err = run_cli(capsys, "verify", identity)
+    assert code == 2 and out == ""
+    assert err == f"error: {identity} needs {flags}\n"
+    if flags != "--n":  # only the flags still missing are named
+        rest = ", ".join(f for f in flags.split(", ") if f != "--n")
+        code, _, err = run_cli(capsys, "verify", identity, "--n", "2")
+        assert code == 2
+        assert err == f"error: {identity} needs {rest}\n"
+
+
+def test_readme_lists_every_identity_tag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme.split("Identity tags:", 1)[1].split("\n\n", 1)[0]
+    assert set(re.findall(r"`(\w+)`", paragraph)) == set(identities.IDENTITY_TAGS)
 
 
 def test_verify_fail_exit_1(monkeypatch, capsys):

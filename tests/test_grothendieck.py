@@ -1,6 +1,7 @@
 """The three constructions, Grassmannian machinery, specializations."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -61,6 +62,49 @@ def test_g_determinant_non_partition_index():
     for bad in [(-2,), (0, -1), (-1, 0, 0)]:  # lam_j + n - j < 0, or length > n
         with pytest.raises(InvalidShapeError):
             g_determinant(bad, 2)
+
+
+def test_g_determinant_against_sympy_quotient():
+    # an oracle that shares no code with the package: the numerator is built
+    # and expanded (Leibniz) in sympy's sparse polynomial ring, then cancelled
+    # against the Vandermonde product there
+    sympy = pytest.importorskip("sympy")
+    box = [(), (1,), (2,), (1, 1), (2, 1), (2, 2)]
+    cases = [(lam, n) for n in (1, 2, 3) for lam in box if len(lam) <= n]
+    for index, n in cases + [((-1, 0), 2)]:
+        names = ["b"] + [f"x{i}" for i in range(1, n + 1)]
+        names += [f"y{t}" for t in range(1, n + max(index, default=0) + 1)]
+        R, b, *rest = sympy.ring(",".join(names), sympy.ZZ)
+        xs, ys = rest[:n], rest[n:]
+        e = [p + n - 1 - j for j, p in enumerate(tuple(index) + (0,) * (n - len(index)))]
+
+        def entry(i, j):
+            out = (1 + b * xs[i]) ** j
+            for t in range(e[j]):
+                out *= xs[i] + ys[t] + b * xs[i] * ys[t]
+            return out
+
+        det = R.zero
+        for perm in permutations(range(n)):
+            inversions = sum(perm[a] > perm[c] for a in range(n) for c in range(a + 1, n))
+            term = R((-1) ** inversions)
+            for i in range(n):
+                term *= entry(i, perm[i])
+            det += term
+        V = R.one
+        for i in range(n):
+            for j in range(i + 1, n):
+                V *= xs[i] - xs[j]
+        quotient, denominator = det.cancel(V)
+        assert denominator == R.one, (index, n)
+        g = g_determinant(index, n)
+        assert set(g.universe.names()) <= set(names)
+        mine = R.from_dict(
+            {tuple(exps.get(v, 0) for v in names): c for exps, c in g.terms_sorted()}
+        )
+        assert quotient == mine, (index, n)
+        if index == (-1, 0):
+            assert quotient == -b
 
 
 def test_grassmannian_from_partition():

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from grothpoly import (
+    IDENTITY_TAGS,
     IdentityReport,
     Partition,
     PreconditionViolatedError,
@@ -425,3 +426,25 @@ def test_run_case_dispatch():
     assert run_case("good_general", {"n": 2}).passed
     with pytest.raises(PreconditionViolatedError):
         run_case("no_such_identity", {})
+    smallest = {
+        "gm_type": {"lam": [0], "n": 1},
+        "fnr_type": {"lam": [0], "m": 1, "n": 1},
+        "vandermonde_lemma": {"n": 1},
+        "e_beta_recurrence": {"k": 0, "n": 1},
+        "good_general": {"n": 1},
+        "louck_general": {"m": 0, "n": 1},
+        "good_k_general": {"n": 1, "k": 0},
+        "classical_gm": {"lam": [0], "n": 1},
+        "classical_good": {"n": 1},
+        "classical_louck": {"m": 0, "n": 1},
+        "classical_fnr": {"lam": [0], "m": 1, "n": 1},
+    }
+    assert set(smallest) == set(IDENTITY_TAGS)
+    for identity, params in smallest.items():
+        report = run_case(identity, params)
+        assert report.identity == identity and report.passed
+        # every parameter is required; a missing one is a precondition error
+        for name in params:
+            partial = {k: v for k, v in params.items() if k != name}
+            with pytest.raises(PreconditionViolatedError, match=f"^{identity} needs "):
+                run_case(identity, partial)
