@@ -7,6 +7,9 @@ Subcommands:
 * ``verify``   -- run one identity verifier, exit 0 pass / 1 fail / 2 bad params
 * ``suite``    -- run the whole default verification grid
 
+``--fast-trials N`` searches N seeded points for a witness when the cleared
+sides differ; it never changes a verdict.  Unknown parameters exit 2.
+
 Text output is byte-stable for identical arguments and seed; JSON output
 additionally carries elapsed_ms, which naturally varies between runs.
 """
@@ -129,33 +132,21 @@ def cmd_verify(args) -> int:
         _verifier_params(args),
         seed=args.seed,
         fast_trials=args.fast_trials,
-        fast_only=args.fast_only,
     )
     if args.format == "json":
         _emit(json.dumps(report.to_json_obj()), args.out)
     else:
-        lines = []
-        if not report.canonical:
-            lines.append("sampling pre-check only: verdicts below are NOT proofs")
-        lines.append(_report_text(report))
-        _emit("\n".join(lines), args.out)
+        _emit(_report_text(report), args.out)
     return 0 if report.passed else 1
 
 
 def cmd_suite(args) -> int:
-    reports = run_suite(
-        seed=args.seed, fast_trials=args.fast_trials, fast_only=args.fast_only
-    )
+    reports = run_suite(seed=args.seed, fast_trials=args.fast_trials)
     n_pass = sum(r.passed for r in reports)
     if args.format == "json":
         _emit(json.dumps([r.to_json_obj() for r in reports]), args.out)
     else:
-        lines = []
-        if args.fast_only:
-            lines.append(
-                f"sampling pre-check only (seed={args.seed}): verdicts are NOT proofs"
-            )
-        lines += [_report_text(r) for r in reports]
+        lines = [_report_text(r) for r in reports]
         lines.append(f"TOTAL: {len(reports)} checks, {n_pass} pass, {len(reports) - n_pass} fail")
         _emit("\n".join(lines), args.out)
     return 0 if n_pass == len(reports) else 1
@@ -196,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--m", type=int, default=None)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--fast-trials", type=int, default=0)
-    v.add_argument("--fast-only", action="store_true")
     v.add_argument("--format", choices=["text", "json"], default="text")
     v.add_argument("--out", default=None)
     v.set_defaults(fn=cmd_verify)
@@ -204,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("suite", help="run the full verification grid")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--fast-trials", type=int, default=0)
-    s.add_argument("--fast-only", action="store_true")
     s.add_argument("--format", choices=["text", "json"], default="text")
     s.add_argument("--out", default=None)
     s.set_defaults(fn=cmd_suite)

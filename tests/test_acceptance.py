@@ -127,14 +127,14 @@ def test_criterion_4_gm_type_grid():
         ok,
         f"main grid failures: {len(main_failures)}; zero-case failures: "
         f"{len(failures) - len(main_failures)} of {zero_cases} "
-        "(beta-deformed zero convention defect, see verify_gm_type docstring)",
+        "(zero cases take G_mu from g_determinant, see verify_gm_type docstring)",
         elapsed,
     )
     assert elapsed < 300
     assert not main_failures, f"non-zero-case grid points failed: {main_failures}"
     assert not failures, (
-        "zero-case grid points cannot verify: with the convention LHS := 0 "
-        "the cleared right side is a nonzero beta multiple "
+        "zero-case grid points failed: their left side g_determinant(mu, n) * V "
+        "should equal the cleared subset sum "
         f"(failing points: {failures[:5]}... total {len(failures)})"
     )
 

@@ -116,10 +116,41 @@ def test_verify_missing_params_exit_2(capsys, identity):
         assert err == f"error: {identity} needs {rest}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (("gm_type", "--shape", "1", "--n", "2", "--k", "3", "--m", "7"), "--k, --m"),
+        (("fnr_type", "--shape", "1", "--n", "3", "--k", "1", "--m", "3"), "--k"),
+        (("vandermonde_lemma", "--shape", "1", "--n", "3"), "--shape"),
+        (("good_k_general", "--n", "3", "--k", "1", "--m", "2"), "--m"),
+        (("classical_good", "--n", "2", "--k", "1"), "--k"),
+    ],
+)
+def test_verify_unknown_params_exit_2(capsys, argv, flags):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {argv[0]} does not take {flags}\n"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def test_readme_lists_every_identity_tag():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    paragraph = readme.split("Identity tags:", 1)[1].split("\n\n", 1)[0]
+    paragraph = README.read_text().split("Identity tags:", 1)[1].split("\n\n", 1)[0]
     assert set(re.findall(r"`(\w+)`", paragraph)) == set(identities.IDENTITY_TAGS)
+
+
+def test_readme_cli_examples_parse():
+    block = README.read_text().split("## CLI", 1)[1].split("```", 2)[1]
+    examples = [line.split("#", 1)[0].split() for line in block.splitlines()]
+    examples = [argv for argv in examples if argv[:1] == ["grothpoly"]]
+    assert len(examples) >= 5
+    parser = cli.build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {' '.join(argv)}")
 
 
 def test_verify_fail_exit_1(monkeypatch, capsys):
@@ -128,6 +159,15 @@ def test_verify_fail_exit_1(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify", "gm_type", "--shape", "0", "--n", "2")
     assert code == 1
     assert "fail" in out
+
+
+def test_verify_witness_proves_failure(monkeypatch, capsys):
+    monkeypatch.setitem(identities.verify_gm_type.__kwdefaults__, "builder", perturbed_builder)
+    argv = ("verify", "gm_type", "--shape", "0", "--n", "2", "--fast-trials", "10", "--seed", "1")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert "witness=" in out
+    assert "NOT proofs" not in out  # a witness is a proof of failure
 
 
 def test_verify_json_schema(capsys):
@@ -145,14 +185,6 @@ def test_verify_json_schema(capsys):
         "rhs_terms",
         "witness",
     }
-
-
-def test_verify_fast_only_labeled(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "good_general", "--n", "3", "--fast-only", "--seed", "7"
-    )
-    assert code == 0
-    assert "NOT proofs" in out
 
 
 def test_text_output_byte_identical(capsys):
@@ -202,9 +234,9 @@ def test_suite_fail_exit_1(monkeypatch, capsys):
     assert "1 fail" in out
 
 
-def test_suite_fast_only_label(monkeypatch, capsys):
-    small = [("vandermonde_lemma", {"n": 2})]
-    monkeypatch.setattr(identities, "suite_cases", lambda seed=0: small)
-    code, out, _ = run_cli(capsys, "suite", "--fast-only", "--seed", "7")
-    assert code == 0
-    assert "NOT proofs" in out
+@pytest.mark.parametrize("argv", [("verify", "good_general", "--n", "3"), ("suite",)])
+def test_sampling_only_flag_is_rejected(monkeypatch, capsys, argv):
+    monkeypatch.setattr(identities, "suite_cases", lambda seed=0: [("good_general", {"n": 2})])
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--fast-only"])
+    assert exc.value.code == 2

@@ -31,6 +31,7 @@ from grothpoly import (
     verify_louck_general,
     verify_vandermonde_lemma,
 )
+from grothpoly import identities
 from grothpoly.identities import grid_gm_type
 from helpers import elementary_symmetric_oracle, perturbed_builder, schur_oracle
 
@@ -359,7 +360,7 @@ def test_specialization_coherence_fnr_termwise():
         assert general == s_lam * xs_m * cof * sign
 
 
-# -- randomized pre-check ------------------------------------------------------
+# -- witness search ------------------------------------------------------------
 
 
 def test_fast_check_equal_sides_never_witness():
@@ -386,19 +387,24 @@ def test_fast_check_deterministic():
 
 def test_fast_path_inside_verifier():
     # a genuinely false statement: the right side built from G + b
-    wrong = verify_gm_type((0,), 2, builder=perturbed_builder)
-    assert wrong.verdict == "fail" and wrong.canonical and wrong.witness is None
+    wrong = verify_gm_type((0,), 2, builder=perturbed_builder, fast_trials=0)
+    assert wrong.verdict == "fail" and wrong.witness is None
     rep = verify_gm_type((0,), 2, builder=perturbed_builder, fast_trials=10, seed=1)
     assert rep.verdict == "fail"
     assert rep.witness is not None
-    assert not rep.canonical
-    ok = verify_gm_type((1,), 2, fast_trials=5, seed=1)
-    assert ok.passed and ok.canonical  # sampling passed, canonical still ran
+    assert rep.lhs.eval_rational(rep.witness) != rep.rhs.eval_rational(rep.witness)
 
 
-def test_fast_only_mode_labeled_non_canonical():
-    rep = verify_gm_type((1,), 2, fast_only=True, seed=1)
-    assert rep.passed and not rep.canonical
+def test_passing_verdict_evaluates_no_point(monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("fast_check ran although the sides are equal")
+
+    monkeypatch.setattr(identities, "fast_check", no_sampling)
+    rep = verify_gm_type((2, 1), 3, fast_trials=20, seed=1)
+    assert rep.passed and rep.witness is None
+    for identity, params in [("fnr_type", {"lam": [1], "m": 2, "n": 2}),
+                             ("classical_good", {"n": 3})]:
+        assert run_case(identity, params, fast_trials=20, seed=1).passed
 
 
 # -- report plumbing ---------------------------------------------------------------
@@ -448,3 +454,12 @@ def test_run_case_dispatch():
             partial = {k: v for k, v in params.items() if k != name}
             with pytest.raises(PreconditionViolatedError, match=f"^{identity} needs "):
                 run_case(identity, partial)
+
+
+def test_run_case_rejects_parameters_it_does_not_take():
+    with pytest.raises(PreconditionViolatedError, match="^gm_type does not take --k, --m$"):
+        run_case("gm_type", {"lam": [1], "n": 2, "k": 3, "m": 7})
+    with pytest.raises(PreconditionViolatedError, match="^classical_gm does not take --trials$"):
+        verify_classical("classical_gm", {"lam": [1], "n": 2, "trials": 5})
+    # the reciprocal form of classical_good takes trials and seed besides n
+    assert run_case("classical_good", {"n": 2, "trials": 5, "seed": 1}).passed
