@@ -114,10 +114,12 @@ def g_determinant(shape, n: int, *, universe: VariableUniverse | None = None) ->
     which for a partition is the usual n + lam_1 - 1.
 
     The numerator goes through the shared cofactor expansion
-    (poly.cofactor_expansion), which here divides each level's minor over
-    rows r..n by the Vandermonde of that row range.  The minor is
-    alternating in those rows, so the division is exact (a NotDivisibleError
-    would be an internal error) and intermediates stay quotient-sized.
+    (poly.cofactor_expansion), which builds the minors one level at a time
+    and here divides each minor over rows r..n by the Vandermonde of that
+    row range, one exact_div per factor x_r - x_j (j > r), each a
+    synthetic division.  The minor is alternating in those rows, so the
+    division is exact (a NotDivisibleError would be an internal error) and
+    the stored minors stay quotient-sized.
     """
     lam = _determinant_index(shape, n)
     exponents = [lam[j - 1] + n - j for j in range(1, n + 1)]

@@ -199,7 +199,7 @@ def gm_cleared_term(
     tail = poly_prod(
         universe, (_one_plus_bx(universe, j) ** k for j in _complement(S, n))
     )
-    return g_s * tail * cof * sign
+    return g_s * tail * (cof if sign > 0 else -cof)
 
 
 def _gm_sides(lam, n, builder):
@@ -283,7 +283,7 @@ def fnr_cleared_term(
     head = poly_prod(universe, (_one_plus_bx(universe, i) ** (n - k) for i in S))
     tail = poly_prod(universe, (universe.bracket_pow(j, m) for j in _complement(S, n)))
     # the bracket product is by far the largest factor; multiply it last
-    return (g_s * head * cof * sign) * tail
+    return (g_s * head * (cof if sign > 0 else -cof)) * tail
 
 
 def _fnr_sides(lam, m, n, builder):

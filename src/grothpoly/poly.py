@@ -326,20 +326,7 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self._terms or not other._terms:
-            return self.universe.zero()
-        bound = self._check_degrees(other)
-        a, b = self._terms, other._terms
-        if len(a) < len(b):
-            a, b = b, a
-        out: dict[int, int] = {}
-        get = out.get
-        for k2, c2 in b.items():
-            for k1, c1 in a.items():
-                k = k1 + k2
-                out[k] = get(k, 0) + c1 * c2
-        out = {k: c for k, c in out.items() if c}
-        return Polynomial._make(self.universe, out, bound)
+        return poly_dot(self.universe, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -595,6 +582,36 @@ def poly_sum(universe: VariableUniverse, polys: Iterable[Polynomial]) -> Polynom
     return Polynomial._make(universe, out, bound)
 
 
+def poly_dot(
+    universe: VariableUniverse, pairs: Iterable[tuple[Polynomial, Polynomial]]
+) -> Polynomial:
+    """Sum of a*b over the pairs, accumulated in one dict.
+
+    No product is materialized, so a sum of cofactor products costs one
+    output dict instead of one per product plus the copies of a running
+    sum.  Each pair passes the degree-overflow guard of __mul__; zero
+    coefficients are dropped once, at the end.
+    """
+    out: dict[int, int] = {}
+    get = out.get
+    bound = 0
+    for a, b in pairs:
+        for f in a.universe, b.universe:
+            if f is not universe and f != universe:
+                raise UniverseMismatchError("factor in wrong universe")
+        if not a._terms or not b._terms:
+            continue
+        bound = max(bound, a._check_degrees(b))
+        ta, tb = a._terms, b._terms
+        if len(ta) < len(tb):
+            ta, tb = tb, ta
+        for k2, c2 in tb.items():
+            for k1, c1 in ta.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+    return Polynomial._make(universe, {k: c for k, c in out.items() if c}, bound)
+
+
 def poly_prod(universe: VariableUniverse, polys: Iterable[Polynomial]) -> Polynomial:
     out = universe.one()
     for p in polys:
@@ -605,11 +622,15 @@ def poly_prod(universe: VariableUniverse, polys: Iterable[Polynomial]) -> Polyno
 
 
 def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
-    """Quotient q with p == q*d exactly, by sparse long division.
+    """Quotient q with p == q*d exactly.
 
-    Division runs under the canonical graded-lex order; every division in
-    this package is exact, so a nonzero remainder signals a broken identity
-    or a caller bug and raises NotDivisibleError.
+    A divisor that is exactly x_i - x_j is divided out by synthetic
+    division in x_i, q_(a-1) = f_a + x_j q_a over the x_i-degrees a of p
+    from the top down; the remainder f_0 + x_j q_0 is p(x_i = x_j), and
+    must vanish.  Every other divisor goes through sparse long division
+    under the canonical graded-lex order.  Every division in this package
+    is exact, so a nonzero remainder signals a broken identity or a caller
+    bug and raises NotDivisibleError.
     """
     if p.universe != d.universe:
         raise UniverseMismatchError("operands live in different universes")
@@ -618,6 +639,9 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
     U = p.universe
     if p.is_zero:
         return U.zero()
+    pair = _x_difference_shifts(d)
+    if pair is not None:
+        return _divide_by_x_difference(p, *pair)
     dk = max(d._terms)
     dc = d._terms[dk]
     tail = [(k, c) for k, c in d._terms.items() if k != dk]
@@ -653,19 +677,91 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
     return Polynomial._make(U, quot, max((k >> ds for k in quot), default=0))
 
 
+def _x_difference_shifts(d: Polynomial) -> tuple[int, int] | None:
+    """The field shifts (of x_i, of x_j) when d is exactly x_i - x_j, else None."""
+    if len(d._terms) != 2:
+        return None
+    U = d.universe
+    unit = 1 << U._deg_shift
+    x_shifts = U._shifts[1 : 1 + U.n_x]
+    found = {}
+    for k, c in d._terms.items():
+        low = k - unit
+        s = low.bit_length() - 1
+        if low != 1 << s or s not in x_shifts:
+            return None
+        found[c] = s
+    if set(found) != {1, -1}:
+        return None
+    return found[1], found[-1]
+
+
+def _divide_by_x_difference(p: Polynomial, si: int, sj: int) -> Polynomial:
+    """p / (x_i - x_j) by synthetic division in x_i (si, sj: their shifts)."""
+    U = p.universe
+    terms = p._terms
+    # p's own keys, bucketed by their x_i-degree a (the f_a of exact_div)
+    top = max((k >> si) & _EXP_MASK for k in terms)
+    buckets: list[list[int]] = [[] for _ in range(top + 1)]
+    for k in terms:
+        buckets[(k >> si) & _EXP_MASK].append(k)
+    unit = 1 << U._deg_shift
+    down = (1 << si) + unit  # f_a x_i^a -> its term of q_(a-1) x_i^(a-1)
+    carry = (1 << sj) - (1 << si)  # q_a x_i^a -> x_j q_a x_i^(a-1)
+    quot: dict[int, int] = {}
+    get = quot.get
+    prev: list[int] = []  # keys of q_a x_i^a, a = the degree just finished
+    for a in range(top, 0, -1):
+        cur = []
+        for k in buckets[a]:
+            quot[k - down] = terms[k]
+            cur.append(k - down)
+        for k in prev:
+            c = quot[k]
+            if not c:  # cancelled: drop it rather than carry a zero
+                del quot[k]
+                continue
+            nk = k + carry
+            old = get(nk)
+            if old is None:
+                quot[nk] = c
+                cur.append(nk)
+            else:
+                quot[nk] = old + c
+        prev = cur
+    # the remainder f_0 + x_j q_0 vanishes iff x_j q_0 == -f_0 term by term
+    up = (1 << sj) + unit
+    matched = 0
+    for k in prev:
+        c = quot[k]
+        if not c:
+            del quot[k]
+            continue
+        if terms.get(k + up) != -c:
+            raise NotDivisibleError("nonzero remainder")
+        matched += 1
+    if matched != len(buckets[0]):
+        raise NotDivisibleError("nonzero remainder")
+    ds = U._deg_shift
+    return Polynomial._make(U, quot, max((k >> ds for k in quot), default=0))
+
+
 def determinant(rows: list[list[Polynomial]]) -> Polynomial:
-    """Exact determinant by cofactor expansion memoized over column subsets."""
+    """Exact determinant by cofactor expansion, one level of minors at a time."""
     return cofactor_expansion(rows, lambda r, minor: minor)
 
 
 def cofactor_expansion(
     rows: list[list[Polynomial]], reduce: Callable[[int, Polynomial], Polynomial]
 ) -> Polynomial:
-    """Cofactor expansion along the rows, memoized over column subsets.
+    """Cofactor expansion along the rows, built one level of minors at a time.
 
-    The value stored for s columns is reduce(r, minor), with minor the
-    expansion of rows r = n-s..n-1 (0-based) on them over the stored values
-    of the next level.  determinant passes the identity for reduce.
+    Level s holds, for every set of s columns, reduce(r, minor), with minor
+    the expansion of rows r = n-s..n-1 (0-based) on those columns: one
+    poly_dot over the row-r entries (the sign applied by negating the
+    entry) and the stored values of level s-1.  Once level s's sums exist
+    level s-1 is dropped, before reduce runs, so at most two levels are
+    alive at once.  determinant passes the identity for reduce.
     """
     n = len(rows)
     if n == 0:
@@ -679,25 +775,23 @@ def cofactor_expansion(
             if entry.universe != U:
                 raise UniverseMismatchError("matrix entries in different universes")
 
-    memo: dict[int, Polynomial] = {0: U.one()}
-
-    def minor(mask: int) -> Polynomial:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        r = n - bin(mask).count("1")
-        acc = U.zero()
-        sign = 1
-        for c in range(n):
-            bit = 1 << c
-            if not mask & bit:
-                continue
-            acc = acc + rows[r][c] * minor(mask ^ bit) * sign
-            sign = -sign
-        acc = memo[mask] = reduce(r, acc)
-        return acc
-
-    return minor((1 << n) - 1)
+    by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(1, 1 << n):
+        by_size[bin(mask).count("1")].append(mask)
+    level: dict[int, Polynomial] = {0: U.one()}
+    for r in range(n - 1, -1, -1):
+        signed = (rows[r], [-entry for entry in rows[r]])
+        sums = {}
+        for mask in by_size[n - r]:
+            cols = [c for c in range(n) if mask >> c & 1]
+            sums[mask] = poly_dot(
+                U, [(signed[t & 1][c], level[mask ^ (1 << c)]) for t, c in enumerate(cols)]
+            )
+        level = sums  # drops level s-1 before the divisions run
+        for mask in list(level):
+            # popped, so reduce holds the sum's only reference and can free it
+            level[mask] = reduce(r, level.pop(mask))
+    return level[(1 << n) - 1]
 
 
 @dataclass(frozen=True)

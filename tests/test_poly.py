@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,7 @@ from grothpoly import (
     determinant,
     exact_div,
     from_json_obj,
+    poly_dot,
     poly_prod,
     poly_sum,
     random_rational_point,
@@ -243,7 +245,63 @@ def test_exact_div_determinant_numerator():
     assert got == w1 + w2 + w3
 
 
+def test_exact_div_by_x_difference_matches_long_division():
+    # x_i - x_j is divided out synthetically; 2(x_i - x_j) goes through the
+    # long division, which serves as the reference
+    W = VariableUniverse(4, 3)
+    rng = random.Random(11)
+    for i in range(1, 5):
+        for j in range(1, 5):
+            if i == j:
+                continue
+            d = W.x(i) - W.x(j)
+            for _ in range(5):
+                p = random_polynomial(W, rng)
+                q = exact_div(p * d, d)
+                assert q == p
+                assert q == exact_div(2 * p * d, 2 * d)
+            for bad in (W.x(i), W.x(i) + W.x(j), W.y(1), p * d + W.y(1)):
+                with pytest.raises(NotDivisibleError):
+                    exact_div(bad, d)
+    for d in (W.y(1) - W.y(2), W.beta() - W.x(1), W.x(1) + W.x(2)):
+        p = random_polynomial(W, rng, nonzero=True)
+        assert exact_div(p * d, d) == p
+
+
 # -- determinants ------------------------------------------------------------------
+
+
+def _exponent_dict(p):
+    names = p.universe.names()
+    return {tuple(e.get(v, 0) for v in names): c for e, c in p.terms_sorted()}
+
+
+def _leibniz(rows):
+    """det as the Leibniz sum over permutations, on plain exponent-tuple dicts."""
+    n = len(rows)
+    entries = [[_exponent_dict(p) for p in row] for row in rows]
+    one = (0,) * len(rows[0][0].universe.names())
+    total = {}
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a, b in combinations(range(n), 2))
+        term = {one: (-1) ** inversions}
+        for r, c in enumerate(perm):
+            prod = {}
+            for m1, c1 in term.items():
+                for m2, c2 in entries[r][c].items():
+                    m = tuple(a + b for a, b in zip(m1, m2))
+                    prod[m] = prod.get(m, 0) + c1 * c2
+            term = prod
+        for m, c in term.items():
+            total[m] = total.get(m, 0) + c
+    return {m: c for m, c in total.items() if c}
+
+
+def test_determinant_matches_leibniz_oracle():
+    rng = random.Random(13)
+    for _ in range(10):
+        m = [[random_polynomial(U, rng, max_terms=3, max_exp=2) for _ in range(4)] for _ in range(4)]
+        assert _exponent_dict(determinant(m)) == _leibniz(m)
 
 
 def test_determinant_1x1():
@@ -301,6 +359,22 @@ def test_poly_sum_prod():
     assert poly_prod(U, [U.x(1), U.x(2), U.zero(), U.x(3)]).is_zero
 
 
+def test_poly_dot_is_sum_of_products():
+    rng = random.Random(12)
+    for _ in range(20):
+        polys = rng_polys(rng.randrange(2**32), 2 * rng.randint(1, 4))
+        pairs = list(zip(polys[::2], polys[1::2])) + [(U.zero(), polys[0])]
+        assert poly_dot(U, pairs) == poly_sum(U, [a * b for a, b in pairs])
+    assert poly_dot(U, []) == U.zero()
+    assert poly_dot(U, [(U.x(1), U.x(2)), (-U.x(2), U.x(1))]).is_zero
+    with pytest.raises(UniverseMismatchError):
+        poly_dot(U, [(U.x(1), VariableUniverse(2, 2).x(1))])
+    big = U.x(1) ** 200
+    assert poly_dot(U, [(big, U.x(2) ** 55)]) == big * U.x(2) ** 55
+    with pytest.raises(DegreeOverflowError):
+        poly_dot(U, [(U.x(1), U.x(2)), (big, U.x(2) ** 56)])
+
+
 def test_str_rendering():
     assert str(U.zero()) == "0"
     assert str(U.one()) == "1"
@@ -336,7 +410,7 @@ def test_swap_and_divided_difference():
     # (x1^2 - x2^2)/(x1 - x2) termwise
     f = U.x(1) ** 2
     assert f.divided_difference(1) == U.x(1) + U.x(2)
-    # dual route: termwise result equals the definitional long division
+    # dual route: termwise result equals the exact division by x1 - x2
     rng = random.Random(9)
     for _ in range(25):
         g = random_polynomial(U, rng)
