@@ -37,6 +37,7 @@ from .poly import (
     cofactor_expansion,
     exact_div,
     poly_sum,
+    relabel_x_sum,
 )
 from .tableaux import (
     InvalidPartitionError,
@@ -285,7 +286,13 @@ def restrict(
     universe: VariableUniverse,
 ) -> Polynomial:
     """G_lambda(x_S|y): build G in |S| local variables, then relabel
-    x_r -> x_{i_r} for the increasing enumeration i_1 < ... < i_k of S."""
+    x_r -> x_{i_r} for the increasing enumeration i_1 < ... < i_k of S.
+
+    The relabel moves exponent fields (relabel_x_sum) and multiplies
+    nothing.  It also commutes with the other factors of a subset-sum
+    identity's cleared term, which is why the verifiers build the term of
+    S0 = {1..k} alone and relabel it into every other subset.
+    """
     S = sorted(subset)
     if len(set(S)) != len(S):
         raise ValueError("subset indices must be distinct")
@@ -294,8 +301,7 @@ def restrict(
     k = len(S)
     local = VariableUniverse(k, universe.n_y)
     g = builder(shape, k, universe=local) if k else local.one()
-    bindings = {f"x{r}": universe.x(S[r - 1]) for r in range(1, k + 1)}
-    return g.substitute(bindings, universe=universe)
+    return relabel_x_sum(universe, g, [(1, S)])
 
 
 def factorial_schur(

@@ -15,6 +15,15 @@ Feher-Nemethi-Rimanyi family).  Both sides then live in the polynomial
 ring and are compared structurally; no rational-function arithmetic exists
 anywhere in the package.
 
+Only the cleared term of S0 = {1..k} is built.  The x-relabel sigma_S that
+sends x_1..x_k onto x_S and x_{k+1}..x_n onto the complement of S, both in
+increasing order, carries G_lam(x_S0|y) to G_lam(x_S|y) (restrict's own
+relabel), each internal Vandermonde product of S0 and of its complement to
+that of S and of its complement, and the products over S0 and over its
+complement to those over S and over its complement; the y's stay put.  So
+term(S) = sign(S) * sign(S0) * sigma_S(term(S0)) exactly, whatever the
+builder, and relabel_x_sum adds up these relabels without multiplying.
+
 The corollaries are parameter maps into the two families: Good's identity
 is the GM-type identity at lam = (n-1,), Louck's at lam = (m,), and Good's
 k-subset identity the FNR-type identity at lam = 0^k, m = k.  One table
@@ -45,6 +54,7 @@ from .poly import (
     poly_prod,
     poly_sum,
     random_rational_point,
+    relabel_x_sum,
 )
 from .tableaux import Partition
 
@@ -62,15 +72,37 @@ def _complement(S: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(j for j in range(1, n + 1) if j not in s)
 
 
+def _gm_sign(S: Sequence[int], n: int, k: int) -> int:
+    return -1 if (k * (k + 1) // 2 + sum(S)) % 2 else 1
+
+
+def _fnr_sign(S: Sequence[int], n: int, k: int) -> int:
+    return -1 if (n * k + k * (k - 1) // 2 + sum(S)) % 2 else 1
+
+
 def _clear_denominator(
-    S: Sequence[int], n: int, k: int, universe: VariableUniverse, parity: int
+    S: Sequence[int], n: int, k: int, universe: VariableUniverse, sign_of
 ) -> tuple[int, Polynomial]:
     S = tuple(sorted(S))
     if len(S) != k:
         raise ValueError("|S| must equal k")
-    sign = -1 if (parity + sum(S)) % 2 else 1
     cof = universe.vandermonde(S) * universe.vandermonde(_complement(S, n))
-    return sign, cof
+    return sign_of(S, n, k), cof
+
+
+def _sum_over_subsets(
+    universe: VariableUniverse, term0: Polynomial, n: int, k: int, sign_of
+) -> Polynomial:
+    """Sum of the cleared terms over all k-subsets S of [n], from the term of
+    S0 = {1..k} alone: term(S) = sign(S) * sign(S0) * sigma_S(term(S0))."""
+    if k in (0, n):
+        return term0
+    sign0 = sign_of(range(1, k + 1), n, k)
+    maps = [
+        (sign_of(S, n, k) * sign0, S + _complement(S, n))
+        for S in combinations(range(1, n + 1), k)
+    ]
+    return relabel_x_sum(universe, term0, maps)
 
 
 def clear_denominator_gm(
@@ -81,7 +113,7 @@ def clear_denominator_gm(
     The sign is (-1)^{binom(k+1,2) + sum(S)} (a negated exponent has the
     same parity).
     """
-    return _clear_denominator(S, n, k, universe, k * (k + 1) // 2)
+    return _clear_denominator(S, n, k, universe, _gm_sign)
 
 
 def clear_denominator_fnr(
@@ -89,7 +121,7 @@ def clear_denominator_fnr(
 ) -> tuple[int, Polynomial]:
     """Sign and cofactor with V = sign * cofactor * prod_{i in S, j notin S}(x_j - x_i);
     the sign is (-1)^{n k - binom(k,2) + sum(S)}."""
-    return _clear_denominator(S, n, k, universe, n * k + k * (k - 1) // 2)
+    return _clear_denominator(S, n, k, universe, _fnr_sign)
 
 
 def cross_product(
@@ -217,8 +249,8 @@ def _gm_sides(lam, n, builder):
         lhs = g_determinant(shifted, n, universe=U) * V
     else:
         lhs = builder(shifted, n, universe=U) * V
-    subsets = combinations(range(1, n + 1), k)
-    rhs = poly_sum(U, (gm_cleared_term(lam, n, S, U, builder) for S in subsets))
+    term0 = gm_cleared_term(lam, n, range(1, k + 1), U, builder)
+    rhs = _sum_over_subsets(U, term0, n, k, _gm_sign)
     return U, lhs, rhs
 
 
@@ -300,8 +332,8 @@ def _fnr_sides(lam, m, n, builder):
     V = U.vandermonde(range(1, n + 1))
     mu = (m - k,) * (n - k) + tuple(lam)
     lhs = builder(mu, n, universe=U) * V
-    subsets = combinations(range(1, n + 1), k)
-    rhs = poly_sum(U, (fnr_cleared_term(lam, m, n, S, U, builder) for S in subsets))
+    term0 = fnr_cleared_term(lam, m, n, range(1, k + 1), U, builder)
+    rhs = _sum_over_subsets(U, term0, n, k, _fnr_sign)
     return U, lhs, rhs
 
 

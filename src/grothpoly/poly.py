@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 _EXP_BITS = 8
 _EXP_MASK = (1 << _EXP_BITS) - 1
@@ -610,6 +610,64 @@ def poly_dot(
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
     return Polynomial._make(universe, {k: c for k, c in out.items() if c}, bound)
+
+
+def relabel_x_sum(
+    universe: VariableUniverse,
+    p: Polynomial,
+    maps: Iterable[tuple[int, Sequence[int]]],
+) -> Polynomial:
+    """Sum of sign * p(x_r -> x_{targets[r-1]}) over the (sign, targets) maps.
+
+    The target universe has p's n_y and at least p's n_x; each targets
+    names distinct x indices of it, one per x of p, and each sign is 1 or
+    -1.  A relabel moves exponent fields and multiplies nothing: the y
+    fields, the low bits of every key, stay where they are, and each
+    distinct [deg | b | x] head above them is re-packed once per map into a
+    table of key offsets, so a term costs one lookup and one add.  Zero
+    coefficients are dropped once, at the end.
+    """
+    U = p.universe
+    if U.n_y != universe.n_y:
+        raise UniverseMismatchError("a relabel keeps the y variables")
+    maps = [(sign, tuple(targets)) for sign, targets in maps]
+    for sign, targets in maps:
+        if sign not in (1, -1):
+            raise ValueError("relabel signs are 1 or -1")
+        if (
+            len(targets) != U.n_x
+            or len(set(targets)) != U.n_x
+            or not all(1 <= t <= universe.n_x for t in targets)
+        ):
+            raise UniverseMismatchError(
+                f"targets {targets} are not {U.n_x} distinct x indices of {universe!r}"
+            )
+    ybits = _EXP_BITS * U.n_y
+    heads = {k >> ybits for k in p._terms}
+    # within a head, x_r sits at _EXP_BITS * (n_x - r), under [deg | b]
+    src = [_EXP_BITS * (U.n_x - r) for r in range(1, U.n_x + 1)]
+    out: dict[int, int] = {}
+    get = out.get
+    items = p._terms.items()
+    for sign, targets in maps:
+        dst = [_EXP_BITS * (universe.n_x - t) for t in targets]
+        offset = {}
+        for h in heads:
+            nh = (h >> (_EXP_BITS * U.n_x)) << (_EXP_BITS * universe.n_x)
+            for s, d in zip(src, dst):
+                nh |= ((h >> s) & _EXP_MASK) << d
+            offset[h] = (nh - h) << ybits
+        if sign > 0:
+            for k, c in items:
+                nk = k + offset[k >> ybits]
+                out[nk] = get(nk, 0) + c
+        else:
+            for k, c in items:
+                nk = k + offset[k >> ybits]
+                out[nk] = get(nk, 0) - c
+    if len(maps) > 1:  # one relabel is injective, so only a sum can cancel
+        out = {k: c for k, c in out.items() if c}
+    return Polynomial._make(universe, out, p._degbound)
 
 
 def poly_prod(universe: VariableUniverse, polys: Iterable[Polynomial]) -> Polynomial:

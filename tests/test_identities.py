@@ -31,8 +31,8 @@ from grothpoly import (
     verify_louck_general,
     verify_vandermonde_lemma,
 )
-from grothpoly import identities
-from grothpoly.identities import grid_gm_type
+from grothpoly import g_tableau, identities, poly_sum
+from grothpoly.identities import grid_fnr_type, grid_gm_type
 from helpers import elementary_symmetric_oracle, perturbed_builder, schur_oracle
 
 
@@ -74,6 +74,50 @@ def test_clearing_shares_cofactor_and_checks_subset_size():
     for clear in (clear_denominator_gm, clear_denominator_fnr):
         with pytest.raises(ValueError, match=r"\|S\| must equal k"):
             clear((1, 2, 3), n, k, U)
+
+
+# -- one subset's cleared term relabelled into the others ----------------------
+
+# every GM/FNR grid case at n <= 3 (GM zero cases, k = n and FNR lam = 0^k
+# among them), plus k = 0
+_SUBSET_SUM_CASES = (
+    grid_gm_type(ns=(1, 2, 3))
+    + grid_fnr_type(ns=(1, 2, 3))
+    + [("gm_type", {"lam": [], "n": 3}), ("fnr_type", {"lam": [], "m": 2, "n": 3})]
+)
+
+
+def _per_subset_rhs(identity, params, universe, builder):
+    """The cleared right side built subset by subset and summed with poly_sum."""
+    lam, n = params["lam"], params["n"]
+    subsets = combinations(range(1, n + 1), len(lam))
+    if identity == "gm_type":
+        terms = (gm_cleared_term(lam, n, S, universe, builder) for S in subsets)
+    else:
+        terms = (fnr_cleared_term(lam, params["m"], n, S, universe, builder) for S in subsets)
+    return poly_sum(universe, terms)
+
+
+@pytest.mark.parametrize("builder", [g_tableau, perturbed_builder])
+def test_relabelled_subset_sum_equals_per_subset_terms(builder):
+    for identity, params in _SUBSET_SUM_CASES:
+        rep = run_case(identity, params, builder=builder)
+        U = rep.rhs.universe
+        assert rep.rhs == _per_subset_rhs(identity, params, U, builder), (identity, params)
+        if builder is g_tableau:
+            assert rep.passed, (identity, params)
+
+
+def test_perturbed_verdicts_keep_their_term_counts():
+    # (lhs_terms, rhs_terms) of false statements, as the per-subset sum gave them
+    for identity, params, counts in [
+        ("gm_type", {"lam": [2, 1], "n": 3}, (192, 192)),
+        ("gm_type", {"lam": [1, 0], "n": 3}, (6, 12)),
+        ("fnr_type", {"lam": [1], "m": 3, "n": 3}, (1332, 2682)),
+    ]:
+        obj = run_case(identity, params, builder=perturbed_builder).to_json_obj()
+        assert obj["verdict"] == "fail"
+        assert (obj["lhs_terms"], obj["rhs_terms"]) == counts
 
 
 # -- Gustafson-Milne family ---------------------------------------------------
