@@ -7,7 +7,7 @@ Subcommands:
 * ``verify``   -- run one identity verifier, exit 0 pass / 1 fail / 2 bad params
 * ``suite``    -- run the whole default verification grid
 
-``--fast-trials N`` searches N seeded points for a witness when the cleared
+``--fast-trials N`` searches N seeded points for a witness when the compared
 sides differ; it never changes a verdict.  Unknown parameters exit 2.
 
 Text output is byte-stable for identical arguments and seed; JSON output
@@ -107,7 +107,7 @@ def cmd_tableaux(args) -> int:
 def _report_text(report, show_timing: bool = False) -> str:
     params = " ".join(f"{k}={v}" for k, v in report.params.items())
     bits = [f"{report.identity:<18} {params:<36} {report.verdict}"]
-    bits.append(f"lhs_terms={report.lhs.num_terms} rhs_terms={report.rhs.num_terms}")
+    bits.append(f"lhs_terms={report.lhs_terms} rhs_terms={report.rhs_terms}")
     if report.witness is not None:
         bits.append(f"witness={json.dumps(report.witness.to_json_obj())}")
     if show_timing:

@@ -290,8 +290,9 @@ def restrict(
 
     The relabel moves exponent fields (relabel_x_sum) and multiplies
     nothing.  It also commutes with the other factors of a subset-sum
-    identity's cleared term, which is why the verifiers build the term of
-    S0 = {1..k} alone and relabel it into every other subset.
+    identity's cleared term, which is why the verifiers' reference path
+    builds the term of S0 = {1..k} alone and relabels it into every other
+    subset.
     """
     S = sorted(subset)
     if len(set(S)) != len(S):

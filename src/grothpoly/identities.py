@@ -1,28 +1,36 @@
 """Exact verification of the subset-sum identity family.
 
-Every identity here relates a factorial Grothendieck polynomial to a sum
-over k-subsets S of [n] of restricted polynomials divided by the cross
-product of (x_i - x_j) over i in S, j outside.  Verification clears all
-denominators by multiplying both sides with the full Vandermonde product
-V = prod_{i<j}(x_i - x_j), split per subset as
+Every identity here relates a factorial Grothendieck polynomial G_mu to a
+sum over k-subsets S of [n] of sigma_S(F) / prod_{i in S, j notin S}(x_i - x_j),
+where sigma_S relabels x_1..x_k onto x_S and x_{k+1}..x_n onto the
+complement of S, both in increasing order, and F is G_lam(x_1..x_k|y) times
+a product symmetric in x_1..x_k and in x_{k+1}..x_n:
 
-    V = sign(S) * cofactor(S) * cross(S)
+    GM:  F = G_lam(x_1..x_k|y) * prod_{j>k}(1+b x_j)^k
+    FNR: F = (-1)^{k(n-k)} G_lam(x_1..x_k|y) * prod_{i<=k}(1+b x_i)^{n-k}
+             * prod_{j>k}[x_j|y]^m
 
-with cofactor(S) the product of the two internal Vandermonde products of S
-and its complement; the sign depends on the orientation of the cross
-product ((x_i - x_j) for the Gustafson-Milne family, (x_j - x_i) for the
-Feher-Nemethi-Rimanyi family).  Both sides then live in the polynomial
-ring and are compared structurally; no rational-function arithmetic exists
-anywhere in the package.
+(the sign turns the FNR cross product (x_j - x_i) into (x_i - x_j)).  For
+such an F the subset sum is the divided difference d_v F, with v the
+longest minimal coset representative of S_n/(S_k x S_{n-k}): the Gysin
+formula of a Grassmannian bundle (Fulton-Pragacz, Schubert Varieties and
+Degeneracy Loci, LNM 1689).  d_v is k(n-k) Newton divided differences,
+d_r, d_{r+1}, ..., d_{r+n-k-1} for r = k, k-1, ..., 1, in that order, and
+each is computed termwise, so a verdict is the structural comparison
+G_mu == d_v F in the polynomial ring: no rational-function arithmetic, no
+Vandermonde product and no sum over subsets.
 
-Only the cleared term of S0 = {1..k} is built.  The x-relabel sigma_S that
-sends x_1..x_k onto x_S and x_{k+1}..x_n onto the complement of S, both in
-increasing order, carries G_lam(x_S0|y) to G_lam(x_S|y) (restrict's own
-relabel), each internal Vandermonde product of S0 and of its complement to
-that of S and of its complement, and the products over S0 and over its
-complement to those over S and over its complement; the y's stay put.  So
-term(S) = sign(S) * sign(S0) * sigma_S(term(S0)) exactly, whatever the
-builder, and relabel_x_sum adds up these relabels without multiplying.
+The equality needs the builder's G_lam(x_1..x_k) to be symmetric, which k-1
+adjacent swaps check.  A builder that fails the check gets the reference
+path: both sides cleared by V = prod_{i<j}(x_i - x_j), split per subset as
+V = sign(S) * cofactor(S) * cross(S), and the cleared term of S0 = {1..k}
+relabelled into every other subset (term(S) = sign(S) sign(S0)
+sigma_S(term(S0)), exact whatever the builder).
+
+Reports count the terms of the cleared sides V*G_mu and V*d_v F.  Both
+products are alternating, so alternant_terms reads their counts from the
+uncleared sides without forming them (Macdonald, Symmetric Functions,
+I.3); a left side that is not symmetric is multiplied out.
 
 The corollaries are parameter maps into the two families: Good's identity
 is the GM-type identity at lam = (n-1,), Louck's at lam = (m,), and Good's
@@ -30,10 +38,10 @@ k-subset identity the FNR-type identity at lam = 0^k, m = k.  One table
 maps each identity tag to its verifier and parameter names (each classical
 tag to the general tag it specializes); run_case dispatches through it.
 
-Every verdict is the structural comparison of the cleared sides.  When they
-differ and fast_trials > 0, both are evaluated at up to fast_trials seeded
-random rational points and the first disagreement is reported as a witness;
-sampling never changes a verdict.
+When the compared sides differ and fast_trials > 0, both are evaluated at
+up to fast_trials seeded random rational points with distinct x's and the
+first disagreement is reported as a witness; V vanishes at none of them, so
+the witness is that of the cleared sides.  Sampling never changes a verdict.
 """
 
 from __future__ import annotations
@@ -42,6 +50,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
@@ -50,6 +59,7 @@ from .poly import (
     Polynomial,
     RationalPoint,
     VariableUniverse,
+    alternant_terms,
     determinant,
     poly_prod,
     poly_sum,
@@ -142,17 +152,40 @@ def cross_product(
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """One verdict, decided by comparing the two sides held in ``sides``.
+
+    For the GM and FNR families those are the uncleared sides G_mu and d_v F
+    and ``denominator`` is the Vandermonde product V they were freed of;
+    otherwise ``denominator`` is None and ``sides`` are the sides as stated.
+    lhs_terms and rhs_terms count the terms of the cleared sides.  ``lhs``
+    and ``rhs`` are the cleared sides themselves, multiplied out on first
+    read.
+    """
+
     identity: str
     params: dict
-    lhs: Polynomial
-    rhs: Polynomial
     verdict: str
     witness: RationalPoint | None
     elapsed: float
+    lhs_terms: int
+    rhs_terms: int
+    sides: tuple[Polynomial, Polynomial]
+    denominator: Polynomial | None = None
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
+
+    def _cleared(self, side: Polynomial) -> Polynomial:
+        return side if self.denominator is None else side * self.denominator
+
+    @cached_property
+    def lhs(self) -> Polynomial:
+        return self._cleared(self.sides[0])
+
+    @cached_property
+    def rhs(self) -> Polynomial:
+        return self._cleared(self.sides[1])
 
     def to_json_obj(self) -> dict:
         return {
@@ -160,8 +193,8 @@ class IdentityReport:
             "params": self.params,
             "verdict": self.verdict,
             "elapsed_ms": int(self.elapsed * 1000),
-            "lhs_terms": self.lhs.num_terms,
-            "rhs_terms": self.rhs.num_terms,
+            "lhs_terms": self.lhs_terms,
+            "rhs_terms": self.rhs_terms,
             "witness": self.witness.to_json_obj() if self.witness else None,
         }
 
@@ -184,19 +217,39 @@ def fast_check(
     return None
 
 
-def _finish(identity, params, universe, lhs, rhs, started, opts) -> IdentityReport:
+def _is_symmetric(p: Polynomial, k: int) -> bool:
+    """Whether p is symmetric in x_1..x_k (k - 1 adjacent swaps)."""
+    return all(p.swap_x(i, i + 1) == p for i in range(1, k))
+
+
+def _finish(identity, params, universe, lhs, rhs, V, started, opts) -> IdentityReport:
+    """Compare the sides and report; V is the denominator the sides were
+    freed of (None for sides as stated)."""
     passed = lhs == rhs
     witness = None
     if not passed and opts.get("fast_trials", 0) > 0:
         witness = fast_check(lhs, rhs, universe, opts["fast_trials"], opts.get("seed", 0))
+    if V is None:
+        lhs_terms, rhs_terms = lhs.num_terms, rhs.num_terms
+    else:
+        n = universe.n_x
+        rhs_terms = alternant_terms(rhs, n)  # d_v F is symmetric
+        if passed:
+            lhs_terms = rhs_terms
+        elif _is_symmetric(lhs, n):
+            lhs_terms = alternant_terms(lhs, n)
+        else:
+            lhs_terms = (lhs * V).num_terms
     return IdentityReport(
         identity=identity,
         params=params,
-        lhs=lhs,
-        rhs=rhs,
         verdict="pass" if passed else "fail",
         witness=witness,
         elapsed=time.perf_counter() - started,
+        lhs_terms=lhs_terms,
+        rhs_terms=rhs_terms,
+        sides=(lhs, rhs),
+        denominator=V,
     )
 
 
@@ -234,7 +287,19 @@ def gm_cleared_term(
     return g_s * tail * (cof if sign > 0 else -cof)
 
 
+def _push_forward(F: Polynomial, n: int, k: int) -> Polynomial:
+    """d_v F, the sum over k-subsets S of sigma_S(F / prod_{i<=k<j}(x_i - x_j))
+    for F symmetric in x_1..x_k and in x_{k+1}..x_n: d_r, d_{r+1}, ...,
+    d_{r+n-k-1} for r = k, k-1, ..., 1 (the reversed order is wrong)."""
+    for r in range(k, 0, -1):
+        for i in range(r, r + n - k):
+            F = F.divided_difference(i)
+    return F
+
+
 def _gm_sides(lam, n, builder):
+    """(universe, lhs, rhs, V): G_mu and d_v F, or for a builder whose G_lam
+    is not symmetric the cleared sides and V = None."""
     k = len(lam)
     if not 0 <= k <= n or n < 1:
         raise PreconditionViolatedError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -244,14 +309,20 @@ def _gm_sides(lam, n, builder):
     # the zero-padded columns of the determinant reach [x|y]^(n-k-1)
     U = VariableUniverse(n, max(lam1 + k - 1, n - k - 1 if zero_case else 0, 0))
     V = U.vandermonde(range(1, n + 1))
+    g = restrict(builder, Partition(lam), range(1, k + 1), U)
+    symmetric = _is_symmetric(g, k)
+    if symmetric and k == n:  # v is the identity and mu = lam: one build
+        return U, g, g, V
     if zero_case:
         # no tableaux exist for a non-partition index: G is the determinant quotient
-        lhs = g_determinant(shifted, n, universe=U) * V
+        lhs = g_determinant(shifted, n, universe=U)
     else:
-        lhs = builder(shifted, n, universe=U) * V
+        lhs = builder(shifted, n, universe=U)
+    if symmetric:
+        tail = poly_prod(U, (_one_plus_bx(U, j) ** k for j in range(k + 1, n + 1)))
+        return U, lhs, _push_forward(g * tail, n, k), V
     term0 = gm_cleared_term(lam, n, range(1, k + 1), U, builder)
-    rhs = _sum_over_subsets(U, term0, n, k, _gm_sign)
-    return U, lhs, rhs
+    return U, lhs * V, _sum_over_subsets(U, term0, n, k, _gm_sign), None
 
 
 def verify_gm_type(lam: Sequence[int], n: int, *, builder=g_tableau, **opts) -> IdentityReport:
@@ -266,9 +337,8 @@ def verify_gm_type(lam: Sequence[int], n: int, *, builder=g_tableau, **opts) -> 
     """
     started = time.perf_counter()
     lam = _as_lam(lam)
-    U, lhs, rhs = _gm_sides(lam, n, builder)
     params = {"lam": list(lam), "n": n, "k": len(lam)}
-    return _finish("gm_type", params, U, lhs, rhs, started, opts)
+    return _finish("gm_type", params, *_gm_sides(lam, n, builder), started, opts)
 
 
 def verify_good_general(n: int, *, builder=g_tableau, **opts) -> IdentityReport:
@@ -277,8 +347,7 @@ def verify_good_general(n: int, *, builder=g_tableau, **opts) -> IdentityReport:
     started = time.perf_counter()
     if n < 1:
         raise PreconditionViolatedError("n must be positive")
-    U, lhs, rhs = _gm_sides((n - 1,), n, builder)
-    return _finish("good_general", {"n": n}, U, lhs, rhs, started, opts)
+    return _finish("good_general", {"n": n}, *_gm_sides((n - 1,), n, builder), started, opts)
 
 
 def verify_louck_general(m: int, n: int, *, builder=g_tableau, **opts) -> IdentityReport:
@@ -291,8 +360,8 @@ def verify_louck_general(m: int, n: int, *, builder=g_tableau, **opts) -> Identi
     started = time.perf_counter()
     if n < 1 or m < n - 1:
         raise PreconditionViolatedError(f"need m >= n-1 >= 0, got m={m}, n={n}")
-    U, lhs, rhs = _gm_sides((m,), n, builder)
-    return _finish("louck_general", {"m": m, "n": n}, U, lhs, rhs, started, opts)
+    sides = _gm_sides((m,), n, builder)
+    return _finish("louck_general", {"m": m, "n": n}, *sides, started, opts)
 
 
 # --------------------------------------------------------------------------
@@ -319,6 +388,7 @@ def fnr_cleared_term(
 
 
 def _fnr_sides(lam, m, n, builder):
+    """(universe, lhs, rhs, V) as for _gm_sides."""
     k = len(lam)
     if not 0 <= k <= n or n < 1:
         raise PreconditionViolatedError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -330,11 +400,19 @@ def _fnr_sides(lam, m, n, builder):
         )
     U = VariableUniverse(n, max(m + n - k - 1, 0))
     V = U.vandermonde(range(1, n + 1))
-    mu = (m - k,) * (n - k) + tuple(lam)
-    lhs = builder(mu, n, universe=U) * V
+    g = restrict(builder, Partition(lam), range(1, k + 1), U)
+    symmetric = _is_symmetric(g, k)
+    if symmetric and k == n:  # v is the identity and mu = lam: one build
+        return U, g, g, V
+    lhs = builder((m - k,) * (n - k) + tuple(lam), n, universe=U)
+    if symmetric:
+        head = poly_prod(U, (_one_plus_bx(U, i) ** (n - k) for i in range(1, k + 1)))
+        tail = poly_prod(U, (U.bracket_pow(j, m) for j in range(k + 1, n + 1)))
+        # the bracket product is by far the largest factor; multiply it last
+        F = ((-g if k * (n - k) % 2 else g) * head) * tail
+        return U, lhs, _push_forward(F, n, k), V
     term0 = fnr_cleared_term(lam, m, n, range(1, k + 1), U, builder)
-    rhs = _sum_over_subsets(U, term0, n, k, _fnr_sign)
-    return U, lhs, rhs
+    return U, lhs * V, _sum_over_subsets(U, term0, n, k, _fnr_sign), None
 
 
 def verify_fnr_type(
@@ -345,9 +423,8 @@ def verify_fnr_type(
     mu = (m-k,...,m-k, lam_1..lam_k) and lam_1 <= m-k required."""
     started = time.perf_counter()
     lam = _as_lam(lam)
-    U, lhs, rhs = _fnr_sides(lam, m, n, builder)
     params = {"lam": list(lam), "m": m, "n": n, "k": len(lam)}
-    return _finish("fnr_type", params, U, lhs, rhs, started, opts)
+    return _finish("fnr_type", params, *_fnr_sides(lam, m, n, builder), started, opts)
 
 
 def verify_good_k_general(n: int, k: int, *, builder=g_tableau, **opts) -> IdentityReport:
@@ -356,8 +433,8 @@ def verify_good_k_general(n: int, k: int, *, builder=g_tableau, **opts) -> Ident
     started = time.perf_counter()
     if not 0 <= k <= n or n < 1:
         raise PreconditionViolatedError(f"need 0 <= k <= n, got k={k}, n={n}")
-    U, lhs, rhs = _fnr_sides((0,) * k, k, n, builder)
-    return _finish("good_k_general", {"n": n, "k": k}, U, lhs, rhs, started, opts)
+    sides = _fnr_sides((0,) * k, k, n, builder)
+    return _finish("good_k_general", {"n": n, "k": k}, *sides, started, opts)
 
 
 # --------------------------------------------------------------------------
@@ -376,7 +453,7 @@ def verify_vandermonde_lemma(n: int, **opts) -> IdentityReport:
     U = VariableUniverse(n, max(n - 1, 0))
     lhs = determinant(determinant_numerator(range(n - 1, -1, -1), U))
     rhs = U.vandermonde(range(1, n + 1))
-    return _finish("vandermonde_lemma", {"n": n}, U, lhs, rhs, started, opts)
+    return _finish("vandermonde_lemma", {"n": n}, U, lhs, rhs, None, started, opts)
 
 
 def e_beta(k: int, n: int, universe: VariableUniverse | None = None) -> Polynomial:
@@ -408,7 +485,8 @@ def verify_e_beta_recurrence(k: int, n: int, **opts) -> IdentityReport:
     rhs = (U.one() + U.beta() * U.y(n)) * e_beta(k, n - 1, U) + U.y(n) * e_beta(
         k - 1, n - 1, U
     )
-    return _finish("e_beta_recurrence", {"k": k, "n": n}, U, lhs, rhs, started, opts)
+    params = {"k": k, "n": n}
+    return _finish("e_beta_recurrence", params, U, lhs, rhs, None, started, opts)
 
 
 # --------------------------------------------------------------------------
@@ -423,8 +501,10 @@ def _classicalize(U: VariableUniverse, p: Polynomial) -> Polynomial:
 def verify_classical(which: str, params: dict, *, builder=g_tableau, **opts) -> IdentityReport:
     """beta = 0 (and y = 0) instances of the four classical identities.
 
-    Each substitutes into the cleared sides of the corresponding general
-    verifier; classical_good additionally checks the reciprocal form
+    Each substitutes into the compared sides of the corresponding general
+    verifier, G_mu and d_v F; V holds neither beta nor y, so the verdict
+    and the cleared term counts are those of the specialized cleared sides.
+    classical_good additionally checks the reciprocal form
     1 = sum_i prod_{j != i} (1 - x_i/x_j)^{-1} at seeded random rational
     points with distinct nonzero coordinates.
     """
@@ -433,15 +513,15 @@ def verify_classical(which: str, params: dict, *, builder=g_tableau, **opts) -> 
         raise PreconditionViolatedError(f"unknown classical identity {which!r}")
     verifier, args = _arguments(which, params)
     rep = verifier(*args, builder=builder)
-    U = rep.lhs.universe
-    lhs, rhs = _classicalize(U, rep.lhs), _classicalize(U, rep.rhs)
+    U, V = rep.sides[0].universe, rep.denominator
+    lhs, rhs = (_classicalize(U, side) for side in rep.sides)
     if which != "classical_good":
-        return _finish(which, rep.params, U, lhs, rhs, started, opts)
+        return _finish(which, rep.params, U, lhs, rhs, V, started, opts)
     n = params["n"]
     trials = params.get("trials", 100)
     seed = params.get("seed", opts.get("seed", 0))
     out_params = {"n": n, "trials": trials, "seed": seed}
-    report = _finish(which, out_params, U, lhs, rhs, started, opts)
+    report = _finish(which, out_params, U, lhs, rhs, V, started, opts)
     witness = _good_reciprocal_witness(n, trials, seed)
     if witness is not None and report.verdict == "pass":
         report = replace(

@@ -20,9 +20,12 @@ degree bound (255) is enforced on mul/pow and raises DegreeOverflowError.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
+from math import factorial
 from typing import Callable, Iterable, Mapping, Sequence
 
 _EXP_BITS = 8
@@ -668,6 +671,61 @@ def relabel_x_sum(
     if len(maps) > 1:  # one relabel is injective, so only a sum can cancel
         out = {k: c for k, c in out.items() if c}
     return Polynomial._make(universe, out, p._degbound)
+
+
+@functools.lru_cache(maxsize=None)
+def _signed_staircases(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(sign(w), w(delta)) over the permutations w of delta = (n-1, ..., 0)."""
+    out = []
+    for w in permutations(range(n)):
+        inversions = sum(w[a] > w[b] for a in range(n) for b in range(a + 1, n))
+        out.append((-1 if inversions % 2 else 1, tuple(n - 1 - v for v in w)))
+    return tuple(out)
+
+
+def alternant_terms(p: Polynomial, n: int) -> int:
+    """Number of terms of p * prod_{i<j<=n}(x_i - x_j), for p symmetric in x_1..x_n.
+
+    The product is alternating in x_1..x_n, so its term count is n! times
+    the terms whose x_1..x_n exponent c is strictly decreasing (Macdonald,
+    Symmetric Functions, I.3).  Expanding the Vandermonde product as
+    sum_w sign(w) x^{w(delta)}, each group of p's terms with one x_1..x_n
+    exponent a is added, signed, at every c = a + w(delta) that is strictly
+    decreasing; nothing is multiplied.  The result is meaningless when p is
+    not symmetric in x_1..x_n.
+    """
+    U = p.universe
+    if not 0 <= n <= U.n_x:
+        raise UniverseMismatchError(f"need 0 <= n <= n_x={U.n_x}, got n={n}")
+    if not p._terms:
+        return 0
+    half = n * (n - 1) // 2
+    if p._degbound + half > MAX_TOTAL_DEGREE and p.total_degree() + half > MAX_TOTAL_DEGREE:
+        raise DegreeOverflowError(f"product degree exceeds capacity {MAX_TOTAL_DEGREE}")
+    shifts = U._shifts[1 : n + 1]
+    mask = 0
+    for s in shifts:
+        mask |= _EXP_MASK << s
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for k, c in p._terms.items():
+        groups.setdefault(k & mask, []).append((k, c))
+    table = []
+    for sign, d in _signed_staircases(n):
+        offset = half << U._deg_shift
+        for s, e in zip(shifts, d):
+            offset += e << s
+        table.append((sign, d, offset))
+    out: dict[int, int] = {}
+    get = out.get
+    adjacent = range(n - 1)
+    for head, group in groups.items():
+        a = [(head >> s) & _EXP_MASK for s in shifts]
+        for sign, d, offset in table:
+            if all(a[i] + d[i] > a[i + 1] + d[i + 1] for i in adjacent):
+                for k, c in group:
+                    nk = k + offset
+                    out[nk] = get(nk, 0) + sign * c
+    return factorial(n) * sum(1 for c in out.values() if c)
 
 
 def poly_prod(universe: VariableUniverse, polys: Iterable[Polynomial]) -> Polynomial:

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -31,9 +31,14 @@ from grothpoly import (
     verify_louck_general,
     verify_vandermonde_lemma,
 )
-from grothpoly import g_tableau, identities, poly_sum
-from grothpoly.identities import grid_fnr_type, grid_gm_type
-from helpers import elementary_symmetric_oracle, perturbed_builder, schur_oracle
+from grothpoly import g_tableau, identities, poly_sum, relabel_x_sum
+from grothpoly.identities import grid_corollaries, grid_fnr_type, grid_gm_type
+from helpers import (
+    elementary_symmetric_oracle,
+    perturbed_builder,
+    random_polynomial,
+    schur_oracle,
+)
 
 
 # -- denominator clearing ----------------------------------------------------
@@ -118,6 +123,98 @@ def test_perturbed_verdicts_keep_their_term_counts():
         obj = run_case(identity, params, builder=perturbed_builder).to_json_obj()
         assert obj["verdict"] == "fail"
         assert (obj["lhs_terms"], obj["rhs_terms"]) == counts
+
+
+# -- verdicts on the uncleared sides -------------------------------------------
+
+
+def _block_symmetrized(universe, p, k):
+    """Sum of p over the permutations of x_1..x_k and of x_{k+1}..x_n."""
+    n = universe.n_x
+    maps = [
+        (1, head + tail)
+        for head in permutations(range(1, k + 1))
+        for tail in permutations(range(k + 1, n + 1))
+    ]
+    return relabel_x_sum(universe, p, maps)
+
+
+def test_push_forward_is_the_cleared_subset_sum():
+    # V * d_v F == sum_S sign(S) cofactor(S) sigma_S(F) for block-symmetric F
+    rng = random.Random(7)
+    for n in range(1, 5):
+        U = VariableUniverse(n, 1)
+        V = U.vandermonde(range(1, n + 1))
+        for k in range(n + 1):
+            for _ in range(3):
+                p = random_polynomial(U, rng, max_terms=3, nonzero=True)
+                F = _block_symmetrized(U, p, k)
+                cleared = U.zero()
+                for S in combinations(range(1, n + 1), k):
+                    sign, cof = clear_denominator_gm(S, n, k, U)
+                    rest = tuple(j for j in range(1, n + 1) if j not in S)
+                    cleared = cleared + sign * cof * relabel_x_sum(U, F, [(1, S + rest)])
+                assert V * identities._push_forward(F, n, k) == cleared, (n, k)
+
+
+_BUILDER_CASES = _SUBSET_SUM_CASES + [
+    case for case in grid_corollaries() if case[0] != "e_beta_recurrence"
+]
+
+
+@pytest.mark.parametrize("builder", [g_tableau, perturbed_builder])
+def test_reported_counts_are_those_of_the_cleared_sides(builder):
+    for identity, params in _BUILDER_CASES:
+        rep = run_case(identity, params, builder=builder)
+        assert rep.denominator is not None, (identity, params)
+        assert (rep.lhs_terms, rep.rhs_terms) == (rep.lhs.num_terms, rep.rhs.num_terms), (
+            identity,
+            params,
+        )
+
+
+def _skewed_builder(shape, n, *, universe=None):
+    """G_lambda + beta*x_1: a wrong builder whose G is not symmetric."""
+    g = g_tableau(shape, n, universe=universe)
+    return g + g.universe.beta() * g.universe.x(1)
+
+
+def test_non_symmetric_builder_keeps_its_verdicts_and_counts():
+    # (verdict, lhs_terms, rhs_terms) as the cleared sides gave them; at
+    # gm_type (1), n=2 only the left side G_mu is not symmetric
+    for identity, params, expected in [
+        ("gm_type", {"lam": [2, 1], "n": 3}, ("fail", 192, 198)),
+        ("gm_type", {"lam": [1], "n": 2}, ("fail", 4, 4)),
+        ("gm_type", {"lam": [1, 1], "n": 2}, ("pass", 14, 14)),
+        ("gm_type", {"lam": [2, 1, 0], "n": 3}, ("pass", 2004, 2004)),
+        ("fnr_type", {"lam": [1], "m": 3, "n": 3}, ("fail", 1332, 2100)),
+        ("fnr_type", {"lam": [1, 0], "m": 3, "n": 3}, ("fail", 174, 378)),
+        ("good_k_general", {"n": 3, "k": 2}, ("fail", 12, 90)),
+        ("classical_gm", {"lam": [2, 1], "n": 3}, ("pass", 6, 6)),
+    ]:
+        rep = run_case(identity, params, builder=_skewed_builder, fast_trials=5, seed=3)
+        assert (rep.verdict, rep.lhs_terms, rep.rhs_terms) == expected, (identity, params)
+        assert (rep.lhs.num_terms, rep.rhs.num_terms) == expected[1:]
+        if not rep.passed:
+            assert rep.lhs.eval_rational(rep.witness) != rep.rhs.eval_rational(rep.witness)
+
+
+def test_k_equal_n_builds_g_once():
+    calls = []
+
+    def recording(shape, n, *, universe=None):
+        calls.append((tuple(shape), n))
+        return g_tableau(shape, n, universe=universe)
+
+    for verify, args, builds in [
+        (verify_gm_type, ((3, 2, 1), 3), [((3, 2, 1), 3)]),
+        (verify_fnr_type, ((1, 0), 3, 2), [((1,), 2)]),
+        # below k = n the left side G_mu is a second build
+        (verify_gm_type, ((2, 1), 3), [((2, 1), 2), ((1, 0), 3)]),
+    ]:
+        calls.clear()
+        assert verify(*args, builder=recording).passed
+        assert calls == builds, verify.__name__
 
 
 # -- Gustafson-Milne family ---------------------------------------------------

@@ -15,6 +15,7 @@ from grothpoly import (
     RationalPoint,
     UniverseMismatchError,
     VariableUniverse,
+    alternant_terms,
     determinant,
     exact_div,
     from_json_obj,
@@ -433,6 +434,60 @@ def test_relabel_x_sum_rejects_bad_maps():
             relabel_x_sum(universe, p, maps)
     with pytest.raises(ValueError, match="1 or -1"):
         relabel_x_sum(big, p, [(2, (1, 2))])
+
+
+def _symmetrized(universe, p, n):
+    """Sum of p over all permutations of x_1..x_n (p's universe has n x's)."""
+    return relabel_x_sum(universe, p, [(1, w) for w in permutations(range(1, n + 1))])
+
+
+def test_alternant_terms_hand_cases():
+    two = VariableUniverse(2, 1)
+    assert alternant_terms(two.one(), 2) == 2  # x1 - x2
+    assert alternant_terms(two.x(1) + two.x(2), 2) == 2  # x1^2 - x2^2
+    # n = 1 and n = 0: the Vandermonde product is 1
+    one = VariableUniverse(1, 2)
+    p = one.circle_plus(1, 2) * one.circle_plus(1, 1)
+    assert alternant_terms(p, 1) == p.num_terms
+    assert alternant_terms(p, 0) == p.num_terms
+    assert alternant_terms(VariableUniverse(0, 2).y(1), 0) == 1
+    for universe, n in [(two, 2), (one, 1), (U, 3), (U, 0)]:
+        assert alternant_terms(universe.zero(), n) == 0
+
+
+def test_alternant_terms_equal_the_product_counts():
+    rng = random.Random(41)
+    for n in range(1, 5):
+        universe = VariableUniverse(n, 2)
+        V = universe.vandermonde(range(1, n + 1))
+        for _ in range(6):
+            p = _symmetrized(universe, random_polynomial(universe, rng, max_terms=4), n)
+            assert alternant_terms(p, n) == (p * V).num_terms
+    # a cancelling case: e_1 * V has fewer terms than the pairs of factors
+    U3 = VariableUniverse(3, 1)
+    e1 = U3.x(1) + U3.x(2) + U3.x(3)
+    V3 = U3.vandermonde([1, 2, 3])
+    assert alternant_terms(e1, 3) == (e1 * V3).num_terms < e1.num_terms * V3.num_terms
+    # symmetric in x_1..x_n only, inside a universe with more x's
+    big = VariableUniverse(4, 1)
+    for n in range(0, 4):
+        small = VariableUniverse(n, 1)
+        for _ in range(4):
+            sym = _symmetrized(small, random_polynomial(small, rng, max_terms=4), n)
+            p = relabel_x_sum(big, sym, [(1, range(1, n + 1))]) * (big.x(4) + big.beta())
+            assert alternant_terms(p, n) == (p * big.vandermonde(range(1, n + 1))).num_terms
+
+
+def test_alternant_terms_rejects_bad_counts_and_overflow():
+    for n in (-1, 4):
+        with pytest.raises(UniverseMismatchError):
+            alternant_terms(U.x(1), n)
+    two = VariableUniverse(2, 0)
+    p = two.x(1) ** 255 + two.x(2) ** 255
+    with pytest.raises(DegreeOverflowError):
+        p * two.vandermonde([1, 2])
+    with pytest.raises(DegreeOverflowError):
+        alternant_terms(p, 2)
 
 
 def test_str_rendering():
