@@ -289,10 +289,7 @@ def restrict(
     x_r -> x_{i_r} for the increasing enumeration i_1 < ... < i_k of S.
 
     The relabel moves exponent fields (relabel_x_sum) and multiplies
-    nothing.  It also commutes with the other factors of a subset-sum
-    identity's cleared term, which is why the verifiers' reference path
-    builds the term of S0 = {1..k} alone and relabels it into every other
-    subset.
+    nothing.
     """
     S = sorted(subset)
     if len(set(S)) != len(S):

@@ -20,17 +20,15 @@ each is computed termwise, so a verdict is the structural comparison
 G_mu == d_v F in the polynomial ring: no rational-function arithmetic, no
 Vandermonde product and no sum over subsets.
 
-The equality needs the builder's G_lam(x_1..x_k) to be symmetric, which k-1
-adjacent swaps check.  A builder that fails the check gets the reference
-path: both sides cleared by V = prod_{i<j}(x_i - x_j), split per subset as
-V = sign(S) * cofactor(S) * cross(S), and the cleared term of S0 = {1..k}
-relabelled into every other subset (term(S) = sign(S) sign(S0)
-sigma_S(term(S0)), exact whatever the builder).
+G_lam(x|y) is symmetric in x, and the equality rests on it: a builder whose
+G_lam(x_1..x_k) fails k-1 adjacent swaps raises PreconditionViolatedError.
+d_v F is symmetric, so a G_mu that is not symmetric always fails; only a
+failing verdict checks G_mu, and raises the same error.
 
-Reports count the terms of the cleared sides V*G_mu and V*d_v F.  Both
-products are alternating, so alternant_terms reads their counts from the
-uncleared sides without forming them (Macdonald, Symmetric Functions,
-I.3); a left side that is not symmetric is multiplied out.
+Reports count the terms of the cleared sides V*G_mu and V*d_v F, with
+V = prod_{i<j}(x_i - x_j).  Both products are alternating, so
+alternant_terms reads their counts from the uncleared sides without forming
+them (Macdonald, Symmetric Functions, I.3).
 
 The corollaries are parameter maps into the two families: Good's identity
 is the GM-type identity at lam = (n-1,), Louck's at lam = (m,), and Good's
@@ -64,7 +62,6 @@ from .poly import (
     poly_prod,
     poly_sum,
     random_rational_point,
-    relabel_x_sum,
 )
 from .tableaux import Partition
 
@@ -100,21 +97,8 @@ def _clear_denominator(
     return sign_of(S, n, k), cof
 
 
-def _sum_over_subsets(
-    universe: VariableUniverse, term0: Polynomial, n: int, k: int, sign_of
-) -> Polynomial:
-    """Sum of the cleared terms over all k-subsets S of [n], from the term of
-    S0 = {1..k} alone: term(S) = sign(S) * sign(S0) * sigma_S(term(S0))."""
-    if k in (0, n):
-        return term0
-    sign0 = sign_of(range(1, k + 1), n, k)
-    maps = [
-        (sign_of(S, n, k) * sign0, S + _complement(S, n))
-        for S in combinations(range(1, n + 1), k)
-    ]
-    return relabel_x_sum(universe, term0, maps)
-
-
+# No verifier calls these two; they stay here only because perfbench/tracing.py
+# binds them by name.  tests/cleared_reference.py builds its cleared terms on them.
 def clear_denominator_gm(
     S: Sequence[int], n: int, k: int, universe: VariableUniverse
 ) -> tuple[int, Polynomial]:
@@ -134,18 +118,6 @@ def clear_denominator_fnr(
     return _clear_denominator(S, n, k, universe, _fnr_sign)
 
 
-def cross_product(
-    S: Sequence[int], n: int, universe: VariableUniverse, *, reversed_sign: bool = False
-) -> Polynomial:
-    """prod over i in S, j in complement of (x_i - x_j), or (x_j - x_i) when reversed."""
-    out = universe.one()
-    for i in sorted(S):
-        for j in _complement(S, n):
-            d = universe.x(i) - universe.x(j)
-            out = out * (-d if reversed_sign else d)
-    return out
-
-
 # --------------------------------------------------------------------------
 # reports
 
@@ -154,12 +126,12 @@ def cross_product(
 class IdentityReport:
     """One verdict, decided by comparing the two sides held in ``sides``.
 
-    For the GM and FNR families those are the uncleared sides G_mu and d_v F
-    and ``denominator`` is the Vandermonde product V they were freed of;
-    otherwise ``denominator`` is None and ``sides`` are the sides as stated.
-    lhs_terms and rhs_terms count the terms of the cleared sides.  ``lhs``
-    and ``rhs`` are the cleared sides themselves, multiplied out on first
-    read.
+    For the GM and FNR families (and their corollaries and classical
+    images) those are G_mu and d_v F, and ``denominator`` is the Vandermonde
+    product V they were freed of; otherwise ``denominator`` is None and
+    ``sides`` are the sides as stated.  lhs_terms and rhs_terms count the
+    terms of the cleared sides.  ``lhs`` and ``rhs`` are the cleared sides
+    themselves, multiplied out only when read.
     """
 
     identity: str
@@ -222,24 +194,35 @@ def _is_symmetric(p: Polynomial, k: int) -> bool:
     return all(p.swap_x(i, i + 1) == p for i in range(1, k))
 
 
+def _symmetric_g(builder, lam, universe: VariableUniverse) -> Polynomial:
+    """G_lam(x_1..x_k|y) from the builder, which must be symmetric in x_1..x_k."""
+    k = len(lam)
+    g = restrict(builder, Partition(lam), range(1, k + 1), universe)
+    if not _is_symmetric(g, k):
+        raise PreconditionViolatedError(
+            f"the builder's G_lam for lam={list(lam)} is not symmetric in x_1..x_{k}"
+        )
+    return g
+
+
 def _finish(identity, params, universe, lhs, rhs, V, started, opts) -> IdentityReport:
     """Compare the sides and report; V is the denominator the sides were
     freed of (None for sides as stated)."""
     passed = lhs == rhs
-    witness = None
-    if not passed and opts.get("fast_trials", 0) > 0:
-        witness = fast_check(lhs, rhs, universe, opts["fast_trials"], opts.get("seed", 0))
     if V is None:
         lhs_terms, rhs_terms = lhs.num_terms, rhs.num_terms
     else:
         n = universe.n_x
-        rhs_terms = alternant_terms(rhs, n)  # d_v F is symmetric
-        if passed:
-            lhs_terms = rhs_terms
-        elif _is_symmetric(lhs, n):
-            lhs_terms = alternant_terms(lhs, n)
-        else:
-            lhs_terms = (lhs * V).num_terms
+        # d_v F is symmetric, so only a failing verdict can have a non-symmetric G_mu
+        if not passed and not _is_symmetric(lhs, n):
+            raise PreconditionViolatedError(
+                f"the builder's G_mu for {identity} is not symmetric in x_1..x_{n}"
+            )
+        rhs_terms = alternant_terms(rhs, n)
+        lhs_terms = rhs_terms if passed else alternant_terms(lhs, n)
+    witness = None
+    if not passed and opts.get("fast_trials", 0) > 0:
+        witness = fast_check(lhs, rhs, universe, opts["fast_trials"], opts.get("seed", 0))
     return IdentityReport(
         identity=identity,
         params=params,
@@ -270,23 +253,6 @@ def _one_plus_bx(universe: VariableUniverse, i: int) -> Polynomial:
     return universe.one() + universe.beta() * universe.x(i)
 
 
-def gm_cleared_term(
-    lam: Sequence[int],
-    n: int,
-    S: Sequence[int],
-    universe: VariableUniverse,
-    builder=g_tableau,
-) -> Polynomial:
-    """sign(S) * cofactor(S) * G_lam(x_S|y) * prod_{j notin S}(1+b x_j)^k."""
-    k = len(lam)
-    sign, cof = clear_denominator_gm(S, n, k, universe)
-    g_s = restrict(builder, Partition(lam), S, universe)
-    tail = poly_prod(
-        universe, (_one_plus_bx(universe, j) ** k for j in _complement(S, n))
-    )
-    return g_s * tail * (cof if sign > 0 else -cof)
-
-
 def _push_forward(F: Polynomial, n: int, k: int) -> Polynomial:
     """d_v F, the sum over k-subsets S of sigma_S(F / prod_{i<=k<j}(x_i - x_j))
     for F symmetric in x_1..x_k and in x_{k+1}..x_n: d_r, d_{r+1}, ...,
@@ -298,8 +264,7 @@ def _push_forward(F: Polynomial, n: int, k: int) -> Polynomial:
 
 
 def _gm_sides(lam, n, builder):
-    """(universe, lhs, rhs, V): G_mu and d_v F, or for a builder whose G_lam
-    is not symmetric the cleared sides and V = None."""
+    """(universe, G_mu, d_v F, V) with F = G_lam(x_1..x_k|y) prod_{j>k}(1+b x_j)^k."""
     k = len(lam)
     if not 0 <= k <= n or n < 1:
         raise PreconditionViolatedError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -309,20 +274,16 @@ def _gm_sides(lam, n, builder):
     # the zero-padded columns of the determinant reach [x|y]^(n-k-1)
     U = VariableUniverse(n, max(lam1 + k - 1, n - k - 1 if zero_case else 0, 0))
     V = U.vandermonde(range(1, n + 1))
-    g = restrict(builder, Partition(lam), range(1, k + 1), U)
-    symmetric = _is_symmetric(g, k)
-    if symmetric and k == n:  # v is the identity and mu = lam: one build
+    g = _symmetric_g(builder, lam, U)
+    if k == n:  # v is the identity and mu = lam: one build
         return U, g, g, V
     if zero_case:
         # no tableaux exist for a non-partition index: G is the determinant quotient
         lhs = g_determinant(shifted, n, universe=U)
     else:
         lhs = builder(shifted, n, universe=U)
-    if symmetric:
-        tail = poly_prod(U, (_one_plus_bx(U, j) ** k for j in range(k + 1, n + 1)))
-        return U, lhs, _push_forward(g * tail, n, k), V
-    term0 = gm_cleared_term(lam, n, range(1, k + 1), U, builder)
-    return U, lhs * V, _sum_over_subsets(U, term0, n, k, _gm_sign), None
+    tail = poly_prod(U, (_one_plus_bx(U, j) ** k for j in range(k + 1, n + 1)))
+    return U, lhs, _push_forward(g * tail, n, k), V
 
 
 def verify_gm_type(lam: Sequence[int], n: int, *, builder=g_tableau, **opts) -> IdentityReport:
@@ -368,27 +329,9 @@ def verify_louck_general(m: int, n: int, *, builder=g_tableau, **opts) -> Identi
 # Feher-Nemethi-Rimanyi family
 
 
-def fnr_cleared_term(
-    lam: Sequence[int],
-    m: int,
-    n: int,
-    S: Sequence[int],
-    universe: VariableUniverse,
-    builder=g_tableau,
-) -> Polynomial:
-    """sign(S) * cofactor(S) * G_lam(x_S|y) * prod_{i in S}(1+b x_i)^{n-k}
-    * prod_{j notin S}[x_j|y]^m (cross product oriented (x_j - x_i))."""
-    k = len(lam)
-    sign, cof = clear_denominator_fnr(S, n, k, universe)
-    g_s = restrict(builder, Partition(lam), S, universe)
-    head = poly_prod(universe, (_one_plus_bx(universe, i) ** (n - k) for i in S))
-    tail = poly_prod(universe, (universe.bracket_pow(j, m) for j in _complement(S, n)))
-    # the bracket product is by far the largest factor; multiply it last
-    return (g_s * head * (cof if sign > 0 else -cof)) * tail
-
-
 def _fnr_sides(lam, m, n, builder):
-    """(universe, lhs, rhs, V) as for _gm_sides."""
+    """(universe, G_mu, d_v F, V) with F = (-1)^{k(n-k)} G_lam(x_1..x_k|y)
+    prod_{i<=k}(1+b x_i)^{n-k} prod_{j>k}[x_j|y]^m."""
     k = len(lam)
     if not 0 <= k <= n or n < 1:
         raise PreconditionViolatedError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -400,19 +343,15 @@ def _fnr_sides(lam, m, n, builder):
         )
     U = VariableUniverse(n, max(m + n - k - 1, 0))
     V = U.vandermonde(range(1, n + 1))
-    g = restrict(builder, Partition(lam), range(1, k + 1), U)
-    symmetric = _is_symmetric(g, k)
-    if symmetric and k == n:  # v is the identity and mu = lam: one build
+    g = _symmetric_g(builder, lam, U)
+    if k == n:  # v is the identity and mu = lam: one build
         return U, g, g, V
     lhs = builder((m - k,) * (n - k) + tuple(lam), n, universe=U)
-    if symmetric:
-        head = poly_prod(U, (_one_plus_bx(U, i) ** (n - k) for i in range(1, k + 1)))
-        tail = poly_prod(U, (U.bracket_pow(j, m) for j in range(k + 1, n + 1)))
-        # the bracket product is by far the largest factor; multiply it last
-        F = ((-g if k * (n - k) % 2 else g) * head) * tail
-        return U, lhs, _push_forward(F, n, k), V
-    term0 = fnr_cleared_term(lam, m, n, range(1, k + 1), U, builder)
-    return U, lhs * V, _sum_over_subsets(U, term0, n, k, _fnr_sign), None
+    head = poly_prod(U, (_one_plus_bx(U, i) ** (n - k) for i in range(1, k + 1)))
+    tail = poly_prod(U, (U.bracket_pow(j, m) for j in range(k + 1, n + 1)))
+    # the bracket product is by far the largest factor; multiply it last
+    F = ((-g if k * (n - k) % 2 else g) * head) * tail
+    return U, lhs, _push_forward(F, n, k), V
 
 
 def verify_fnr_type(

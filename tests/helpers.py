@@ -61,6 +61,12 @@ def perturbed_builder(shape, n: int, *, universe: VariableUniverse | None = None
     return g + g.universe.beta()
 
 
+def skewed_builder(shape, n: int, *, universe: VariableUniverse | None = None) -> Polynomial:
+    """G_lambda + beta*x_1: a wrong builder whose G is not symmetric."""
+    g = g_tableau(shape, n, universe=universe)
+    return g + g.universe.beta() * g.universe.x(1)
+
+
 def elementary_symmetric_oracle(k: int, n: int, universe: VariableUniverse) -> Polynomial:
     """e_k(y_1..y_n) by direct subset sums."""
     if k < 0 or k > n:

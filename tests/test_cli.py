@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from grothpoly import cli, identities
-from helpers import perturbed_builder
+from helpers import perturbed_builder, skewed_builder
 
 
 def run_cli(capsys, *argv):
@@ -168,6 +168,15 @@ def test_verify_witness_proves_failure(monkeypatch, capsys):
     assert code == 1
     assert "witness=" in out
     assert "NOT proofs" not in out  # a witness is a proof of failure
+
+
+def test_verify_non_symmetric_builder_exit_2(monkeypatch, capsys):
+    # a builder whose G is not symmetric breaks the identities' precondition
+    monkeypatch.setitem(identities.verify_gm_type.__kwdefaults__, "builder", skewed_builder)
+    code, out, err = run_cli(capsys, "verify", "gm_type", "--shape", "2,1", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "not symmetric" in err
 
 
 def test_verify_json_schema(capsys):

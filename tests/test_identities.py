@@ -14,13 +14,10 @@ from grothpoly import (
     VariableUniverse,
     clear_denominator_fnr,
     clear_denominator_gm,
-    cross_product,
     e_beta,
     fast_check,
-    fnr_cleared_term,
     g_determinant,
     g_divided_difference,
-    gm_cleared_term,
     run_case,
     verify_classical,
     verify_e_beta_recurrence,
@@ -33,11 +30,13 @@ from grothpoly import (
 )
 from grothpoly import g_tableau, identities, poly_sum, relabel_x_sum
 from grothpoly.identities import grid_corollaries, grid_fnr_type, grid_gm_type
+from cleared_reference import cross_product, fnr_cleared_term, gm_cleared_term
 from helpers import (
     elementary_symmetric_oracle,
     perturbed_builder,
     random_polynomial,
     schur_oracle,
+    skewed_builder,
 )
 
 
@@ -81,7 +80,7 @@ def test_clearing_shares_cofactor_and_checks_subset_size():
             clear((1, 2, 3), n, k, U)
 
 
-# -- one subset's cleared term relabelled into the others ----------------------
+# -- the cleared right side against the per-subset reference --------------------
 
 # every GM/FNR grid case at n <= 3 (GM zero cases, k = n and FNR lam = 0^k
 # among them), plus k = 0
@@ -173,30 +172,22 @@ def test_reported_counts_are_those_of_the_cleared_sides(builder):
         )
 
 
-def _skewed_builder(shape, n, *, universe=None):
-    """G_lambda + beta*x_1: a wrong builder whose G is not symmetric."""
-    g = g_tableau(shape, n, universe=universe)
-    return g + g.universe.beta() * g.universe.x(1)
-
-
-def test_non_symmetric_builder_keeps_its_verdicts_and_counts():
-    # (verdict, lhs_terms, rhs_terms) as the cleared sides gave them; at
-    # gm_type (1), n=2 only the left side G_mu is not symmetric
-    for identity, params, expected in [
-        ("gm_type", {"lam": [2, 1], "n": 3}, ("fail", 192, 198)),
-        ("gm_type", {"lam": [1], "n": 2}, ("fail", 4, 4)),
-        ("gm_type", {"lam": [1, 1], "n": 2}, ("pass", 14, 14)),
-        ("gm_type", {"lam": [2, 1, 0], "n": 3}, ("pass", 2004, 2004)),
-        ("fnr_type", {"lam": [1], "m": 3, "n": 3}, ("fail", 1332, 2100)),
-        ("fnr_type", {"lam": [1, 0], "m": 3, "n": 3}, ("fail", 174, 378)),
-        ("good_k_general", {"n": 3, "k": 2}, ("fail", 12, 90)),
-        ("classical_gm", {"lam": [2, 1], "n": 3}, ("pass", 6, 6)),
+def test_non_symmetric_builder_is_rejected():
+    # the side whose builder output is not symmetric; with k = 1 the check on
+    # G_lam has nothing to swap, and only G_mu is caught, on its failing verdict
+    for identity, params, side in [
+        ("gm_type", {"lam": [2, 1], "n": 3}, "G_lam for lam=[2, 1] is not symmetric in x_1..x_2"),
+        ("gm_type", {"lam": [1], "n": 2}, "G_mu for gm_type is not symmetric in x_1..x_2"),
+        ("gm_type", {"lam": [1, 1], "n": 2}, "G_lam for lam=[1, 1] is not symmetric in x_1..x_2"),
+        ("gm_type", {"lam": [2, 1, 0], "n": 3}, "G_lam for lam=[2, 1, 0] is not symmetric"),
+        ("fnr_type", {"lam": [1], "m": 3, "n": 3}, "G_mu for fnr_type is not symmetric in x_1..x_3"),
+        ("fnr_type", {"lam": [1, 0], "m": 3, "n": 3}, "G_lam for lam=[1, 0] is not symmetric"),
+        ("good_k_general", {"n": 3, "k": 2}, "G_lam for lam=[0, 0] is not symmetric"),
+        ("classical_gm", {"lam": [2, 1], "n": 3}, "G_lam for lam=[2, 1] is not symmetric"),
     ]:
-        rep = run_case(identity, params, builder=_skewed_builder, fast_trials=5, seed=3)
-        assert (rep.verdict, rep.lhs_terms, rep.rhs_terms) == expected, (identity, params)
-        assert (rep.lhs.num_terms, rep.rhs.num_terms) == expected[1:]
-        if not rep.passed:
-            assert rep.lhs.eval_rational(rep.witness) != rep.rhs.eval_rational(rep.witness)
+        with pytest.raises(PreconditionViolatedError) as exc:
+            run_case(identity, params, builder=skewed_builder, fast_trials=5, seed=3)
+        assert str(exc.value).startswith("the builder's " + side), (identity, params)
 
 
 def test_k_equal_n_builds_g_once():
