@@ -37,7 +37,6 @@ from .poly import (
     cofactor_expansion,
     exact_div,
     poly_sum,
-    relabel_x_sum,
 )
 from .tableaux import (
     InvalidPartitionError,
@@ -285,11 +284,12 @@ def restrict(
     subset: Iterable[int],
     universe: VariableUniverse,
 ) -> Polynomial:
-    """G_lambda(x_S|y): build G in |S| local variables, then relabel
-    x_r -> x_{i_r} for the increasing enumeration i_1 < ... < i_k of S.
+    """G_lambda(x_S|y): G built in x_1..x_k of the universe, k = |S|, with x_r
+    moved to x_{i_r} for the increasing enumeration i_1 < ... < i_k of S.
 
-    The relabel moves exponent fields (relabel_x_sum) and multiplies
-    nothing.
+    builder(shape, n, universe=U) must build G in x_1..x_n of any U with
+    U.n_x >= n.  The moves run r = k, ..., 1, one swap_x each, so x_{i_r} is
+    still free when x_r moves; i_r = r costs no copy, nor does S = {1..k}.
     """
     S = sorted(subset)
     if len(set(S)) != len(S):
@@ -297,9 +297,10 @@ def restrict(
     if S and (S[0] < 1 or S[-1] > universe.n_x):
         raise UniverseMismatchError(f"subset {S} not inside [1,{universe.n_x}]")
     k = len(S)
-    local = VariableUniverse(k, universe.n_y)
-    g = builder(shape, k, universe=local) if k else local.one()
-    return relabel_x_sum(universe, g, [(1, S)])
+    g = builder(shape, k, universe=universe) if k else universe.one()
+    for r in range(k, 0, -1):
+        g = g.swap_x(r, S[r - 1])
+    return g
 
 
 def factorial_schur(

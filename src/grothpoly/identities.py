@@ -20,8 +20,11 @@ each is computed termwise, so a verdict is the structural comparison
 G_mu == d_v F in the polynomial ring: no rational-function arithmetic, no
 Vandermonde product and no sum over subsets.
 
-G_lam(x|y) is symmetric in x, and the equality rests on it: a builder whose
-G_lam(x_1..x_k) fails k-1 adjacent swaps raises PreconditionViolatedError.
+A builder is called as builder(shape, n, universe=U) and must build G in
+x_1..x_n of any U with U.n_x >= n; G_lam is built so, in the n-variable
+universe of G_mu.  G_lam(x|y) is symmetric in x, and the equality rests on
+it: a builder whose G_lam(x_1..x_k) fails k-1 adjacent swaps raises
+PreconditionViolatedError.
 d_v F is symmetric, so a G_mu that is not symmetric always fails; only a
 failing verdict checks G_mu, and raises the same error.
 
@@ -48,7 +51,6 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
@@ -127,11 +129,9 @@ class IdentityReport:
     """One verdict, decided by comparing the two sides held in ``sides``.
 
     For the GM and FNR families (and their corollaries and classical
-    images) those are G_mu and d_v F, and ``denominator`` is the Vandermonde
-    product V they were freed of; otherwise ``denominator`` is None and
-    ``sides`` are the sides as stated.  lhs_terms and rhs_terms count the
-    terms of the cleared sides.  ``lhs`` and ``rhs`` are the cleared sides
-    themselves, multiplied out only when read.
+    images) those are G_mu and d_v F, and lhs_terms and rhs_terms count the
+    terms of the cleared sides V*G_mu and V*d_v F; otherwise ``sides`` are
+    the sides as stated, and so are the counts.
     """
 
     identity: str
@@ -142,22 +142,10 @@ class IdentityReport:
     lhs_terms: int
     rhs_terms: int
     sides: tuple[Polynomial, Polynomial]
-    denominator: Polynomial | None = None
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
-
-    def _cleared(self, side: Polynomial) -> Polynomial:
-        return side if self.denominator is None else side * self.denominator
-
-    @cached_property
-    def lhs(self) -> Polynomial:
-        return self._cleared(self.sides[0])
-
-    @cached_property
-    def rhs(self) -> Polynomial:
-        return self._cleared(self.sides[1])
 
     def to_json_obj(self) -> dict:
         return {
@@ -205,11 +193,11 @@ def _symmetric_g(builder, lam, universe: VariableUniverse) -> Polynomial:
     return g
 
 
-def _finish(identity, params, universe, lhs, rhs, V, started, opts) -> IdentityReport:
-    """Compare the sides and report; V is the denominator the sides were
-    freed of (None for sides as stated)."""
+def _finish(identity, params, universe, lhs, rhs, cleared, started, opts) -> IdentityReport:
+    """Compare the sides and report; cleared says the counts are those of
+    V*lhs and V*rhs, V = prod_{i<j}(x_i - x_j), else those of the sides."""
     passed = lhs == rhs
-    if V is None:
+    if not cleared:
         lhs_terms, rhs_terms = lhs.num_terms, rhs.num_terms
     else:
         n = universe.n_x
@@ -232,7 +220,6 @@ def _finish(identity, params, universe, lhs, rhs, V, started, opts) -> IdentityR
         lhs_terms=lhs_terms,
         rhs_terms=rhs_terms,
         sides=(lhs, rhs),
-        denominator=V,
     )
 
 
@@ -264,7 +251,7 @@ def _push_forward(F: Polynomial, n: int, k: int) -> Polynomial:
 
 
 def _gm_sides(lam, n, builder):
-    """(universe, G_mu, d_v F, V) with F = G_lam(x_1..x_k|y) prod_{j>k}(1+b x_j)^k."""
+    """(universe, G_mu, d_v F) with F = G_lam(x_1..x_k|y) prod_{j>k}(1+b x_j)^k."""
     k = len(lam)
     if not 0 <= k <= n or n < 1:
         raise PreconditionViolatedError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -273,17 +260,16 @@ def _gm_sides(lam, n, builder):
     zero_case = bool(k) and shifted[-1] < 0
     # the zero-padded columns of the determinant reach [x|y]^(n-k-1)
     U = VariableUniverse(n, max(lam1 + k - 1, n - k - 1 if zero_case else 0, 0))
-    V = U.vandermonde(range(1, n + 1))
     g = _symmetric_g(builder, lam, U)
     if k == n:  # v is the identity and mu = lam: one build
-        return U, g, g, V
+        return U, g, g
     if zero_case:
         # no tableaux exist for a non-partition index: G is the determinant quotient
         lhs = g_determinant(shifted, n, universe=U)
     else:
         lhs = builder(shifted, n, universe=U)
     tail = poly_prod(U, (_one_plus_bx(U, j) ** k for j in range(k + 1, n + 1)))
-    return U, lhs, _push_forward(g * tail, n, k), V
+    return U, lhs, _push_forward(g * tail, n, k)
 
 
 def verify_gm_type(lam: Sequence[int], n: int, *, builder=g_tableau, **opts) -> IdentityReport:
@@ -299,7 +285,7 @@ def verify_gm_type(lam: Sequence[int], n: int, *, builder=g_tableau, **opts) -> 
     started = time.perf_counter()
     lam = _as_lam(lam)
     params = {"lam": list(lam), "n": n, "k": len(lam)}
-    return _finish("gm_type", params, *_gm_sides(lam, n, builder), started, opts)
+    return _finish("gm_type", params, *_gm_sides(lam, n, builder), True, started, opts)
 
 
 def verify_good_general(n: int, *, builder=g_tableau, **opts) -> IdentityReport:
@@ -308,7 +294,8 @@ def verify_good_general(n: int, *, builder=g_tableau, **opts) -> IdentityReport:
     started = time.perf_counter()
     if n < 1:
         raise PreconditionViolatedError("n must be positive")
-    return _finish("good_general", {"n": n}, *_gm_sides((n - 1,), n, builder), started, opts)
+    sides = _gm_sides((n - 1,), n, builder)
+    return _finish("good_general", {"n": n}, *sides, True, started, opts)
 
 
 def verify_louck_general(m: int, n: int, *, builder=g_tableau, **opts) -> IdentityReport:
@@ -322,7 +309,7 @@ def verify_louck_general(m: int, n: int, *, builder=g_tableau, **opts) -> Identi
     if n < 1 or m < n - 1:
         raise PreconditionViolatedError(f"need m >= n-1 >= 0, got m={m}, n={n}")
     sides = _gm_sides((m,), n, builder)
-    return _finish("louck_general", {"m": m, "n": n}, *sides, started, opts)
+    return _finish("louck_general", {"m": m, "n": n}, *sides, True, started, opts)
 
 
 # --------------------------------------------------------------------------
@@ -330,7 +317,7 @@ def verify_louck_general(m: int, n: int, *, builder=g_tableau, **opts) -> Identi
 
 
 def _fnr_sides(lam, m, n, builder):
-    """(universe, G_mu, d_v F, V) with F = (-1)^{k(n-k)} G_lam(x_1..x_k|y)
+    """(universe, G_mu, d_v F) with F = (-1)^{k(n-k)} G_lam(x_1..x_k|y)
     prod_{i<=k}(1+b x_i)^{n-k} prod_{j>k}[x_j|y]^m."""
     k = len(lam)
     if not 0 <= k <= n or n < 1:
@@ -342,16 +329,15 @@ def _fnr_sides(lam, m, n, builder):
             f"identity asserted only for lam_1 <= m-k (got lam_1={lam[0]}, m-k={m - k})"
         )
     U = VariableUniverse(n, max(m + n - k - 1, 0))
-    V = U.vandermonde(range(1, n + 1))
     g = _symmetric_g(builder, lam, U)
     if k == n:  # v is the identity and mu = lam: one build
-        return U, g, g, V
+        return U, g, g
     lhs = builder((m - k,) * (n - k) + tuple(lam), n, universe=U)
     head = poly_prod(U, (_one_plus_bx(U, i) ** (n - k) for i in range(1, k + 1)))
     tail = poly_prod(U, (U.bracket_pow(j, m) for j in range(k + 1, n + 1)))
     # the bracket product is by far the largest factor; multiply it last
     F = ((-g if k * (n - k) % 2 else g) * head) * tail
-    return U, lhs, _push_forward(F, n, k), V
+    return U, lhs, _push_forward(F, n, k)
 
 
 def verify_fnr_type(
@@ -363,7 +349,7 @@ def verify_fnr_type(
     started = time.perf_counter()
     lam = _as_lam(lam)
     params = {"lam": list(lam), "m": m, "n": n, "k": len(lam)}
-    return _finish("fnr_type", params, *_fnr_sides(lam, m, n, builder), started, opts)
+    return _finish("fnr_type", params, *_fnr_sides(lam, m, n, builder), True, started, opts)
 
 
 def verify_good_k_general(n: int, k: int, *, builder=g_tableau, **opts) -> IdentityReport:
@@ -373,7 +359,7 @@ def verify_good_k_general(n: int, k: int, *, builder=g_tableau, **opts) -> Ident
     if not 0 <= k <= n or n < 1:
         raise PreconditionViolatedError(f"need 0 <= k <= n, got k={k}, n={n}")
     sides = _fnr_sides((0,) * k, k, n, builder)
-    return _finish("good_k_general", {"n": n, "k": k}, *sides, started, opts)
+    return _finish("good_k_general", {"n": n, "k": k}, *sides, True, started, opts)
 
 
 # --------------------------------------------------------------------------
@@ -392,7 +378,7 @@ def verify_vandermonde_lemma(n: int, **opts) -> IdentityReport:
     U = VariableUniverse(n, max(n - 1, 0))
     lhs = determinant(determinant_numerator(range(n - 1, -1, -1), U))
     rhs = U.vandermonde(range(1, n + 1))
-    return _finish("vandermonde_lemma", {"n": n}, U, lhs, rhs, None, started, opts)
+    return _finish("vandermonde_lemma", {"n": n}, U, lhs, rhs, False, started, opts)
 
 
 def e_beta(k: int, n: int, universe: VariableUniverse | None = None) -> Polynomial:
@@ -425,7 +411,7 @@ def verify_e_beta_recurrence(k: int, n: int, **opts) -> IdentityReport:
         k - 1, n - 1, U
     )
     params = {"k": k, "n": n}
-    return _finish("e_beta_recurrence", params, U, lhs, rhs, None, started, opts)
+    return _finish("e_beta_recurrence", params, U, lhs, rhs, False, started, opts)
 
 
 # --------------------------------------------------------------------------
@@ -452,15 +438,15 @@ def verify_classical(which: str, params: dict, *, builder=g_tableau, **opts) -> 
         raise PreconditionViolatedError(f"unknown classical identity {which!r}")
     verifier, args = _arguments(which, params)
     rep = verifier(*args, builder=builder)
-    U, V = rep.sides[0].universe, rep.denominator
+    U = rep.sides[0].universe
     lhs, rhs = (_classicalize(U, side) for side in rep.sides)
     if which != "classical_good":
-        return _finish(which, rep.params, U, lhs, rhs, V, started, opts)
+        return _finish(which, rep.params, U, lhs, rhs, True, started, opts)
     n = params["n"]
     trials = params.get("trials", 100)
     seed = params.get("seed", opts.get("seed", 0))
     out_params = {"n": n, "trials": trials, "seed": seed}
-    report = _finish(which, out_params, U, lhs, rhs, V, started, opts)
+    report = _finish(which, out_params, U, lhs, rhs, True, started, opts)
     witness = _good_reciprocal_witness(n, trials, seed)
     if witness is not None and report.verdict == "pass":
         report = replace(

@@ -67,6 +67,19 @@ def skewed_builder(shape, n: int, *, universe: VariableUniverse | None = None) -
     return g + g.universe.beta() * g.universe.x(1)
 
 
+def relabel(universe: VariableUniverse, p: Polynomial, targets) -> Polynomial:
+    """p with x_r -> x_{targets[r-1]}, through substitute, in the given universe."""
+    bindings = {f"x{r}": universe.x(t) for r, t in enumerate(targets, 1)}
+    return p.substitute(bindings, universe=universe)
+
+
+def cleared_sides(rep) -> tuple[Polynomial, Polynomial]:
+    """V*G_mu and V*d_v F of a GM/FNR report, V = prod_{i<j}(x_i - x_j)."""
+    lhs, rhs = rep.sides
+    V = lhs.universe.vandermonde(range(1, lhs.universe.n_x + 1))
+    return lhs * V, rhs * V
+
+
 def elementary_symmetric_oracle(k: int, n: int, universe: VariableUniverse) -> Polynomial:
     """e_k(y_1..y_n) by direct subset sums."""
     if k < 0 or k > n:

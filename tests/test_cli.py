@@ -179,6 +179,31 @@ def test_verify_non_symmetric_builder_exit_2(monkeypatch, capsys):
     assert err.startswith("error: ") and "not symmetric" in err
 
 
+def test_benchmark_tracer_keeps_output(monkeypatch, capsys):
+    # perfbench/tracing.py binds package names (identities.restrict, ...)
+    # directly; a rename would otherwise break only the traced benchmark run
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import Tracer
+
+    def verify():
+        code, out, _ = run_cli(
+            capsys, "verify", "gm_type", "--shape", "2,1", "--n", "3", "--format", "json"
+        )
+        obj = json.loads(out)
+        obj.pop("elapsed_ms")
+        return code, obj
+
+    plain = verify()
+    tracer = Tracer()
+    try:
+        tracer.install()
+        traced = verify()
+    finally:
+        tracer.uninstall()
+    assert traced == plain and plain[0] == 0
+    assert tracer.calls["grothendieck.restrict"] > 0
+
+
 def test_verify_json_schema(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "vandermonde_lemma", "--n", "3", "--format", "json"

@@ -23,7 +23,7 @@ from grothpoly import (
     restrict,
     schur,
 )
-from helpers import random_polynomial, schur_oracle
+from helpers import random_polynomial, relabel, schur_oracle
 
 
 def three_term_expansion(U):
@@ -225,6 +225,14 @@ def test_restrict():
         {"x1": U3.x(1), "x2": U3.x(3)}, universe=U3
     )
     assert got == expect
+    # any builder, any increasing subset: G built in x_1..x_k of the target
+    # universe, moved onto x_S, equals the builder's own G_k relabelled
+    U4 = VariableUniverse(4, 4)
+    for builder in (g_tableau, g_determinant, g_divided_difference):
+        for S in ([2], [1, 3], [2, 3], [1, 2, 3]):
+            shape = lam[: len(S)]
+            own = builder(shape, len(S))
+            assert restrict(builder, shape, S, U4) == relabel(U4, own, S), (builder, S)
 
 
 def test_restrict_rejects_bad_subset():

@@ -28,13 +28,15 @@ from grothpoly import (
     verify_louck_general,
     verify_vandermonde_lemma,
 )
-from grothpoly import g_tableau, identities, poly_sum, relabel_x_sum
+from grothpoly import g_tableau, identities, poly_sum
 from grothpoly.identities import grid_corollaries, grid_fnr_type, grid_gm_type
 from cleared_reference import cross_product, fnr_cleared_term, gm_cleared_term
 from helpers import (
+    cleared_sides,
     elementary_symmetric_oracle,
     perturbed_builder,
     random_polynomial,
+    relabel,
     schur_oracle,
     skewed_builder,
 )
@@ -80,7 +82,7 @@ def test_clearing_shares_cofactor_and_checks_subset_size():
             clear((1, 2, 3), n, k, U)
 
 
-# -- the cleared right side against the per-subset reference --------------------
+# -- the push-forward d_v F, times V, against the per-subset reference --------
 
 # every GM/FNR grid case at n <= 3 (GM zero cases, k = n and FNR lam = 0^k
 # among them), plus k = 0
@@ -103,11 +105,11 @@ def _per_subset_rhs(identity, params, universe, builder):
 
 
 @pytest.mark.parametrize("builder", [g_tableau, perturbed_builder])
-def test_relabelled_subset_sum_equals_per_subset_terms(builder):
+def test_push_forward_equals_per_subset_terms(builder):
     for identity, params in _SUBSET_SUM_CASES:
         rep = run_case(identity, params, builder=builder)
-        U = rep.rhs.universe
-        assert rep.rhs == _per_subset_rhs(identity, params, U, builder), (identity, params)
+        _, rhs = cleared_sides(rep)
+        assert rhs == _per_subset_rhs(identity, params, rhs.universe, builder), (identity, params)
         if builder is g_tableau:
             assert rep.passed, (identity, params)
 
@@ -130,12 +132,12 @@ def test_perturbed_verdicts_keep_their_term_counts():
 def _block_symmetrized(universe, p, k):
     """Sum of p over the permutations of x_1..x_k and of x_{k+1}..x_n."""
     n = universe.n_x
-    maps = [
-        (1, head + tail)
+    targets = [
+        head + tail
         for head in permutations(range(1, k + 1))
         for tail in permutations(range(k + 1, n + 1))
     ]
-    return relabel_x_sum(universe, p, maps)
+    return poly_sum(universe, (relabel(universe, p, w) for w in targets))
 
 
 def test_push_forward_is_the_cleared_subset_sum():
@@ -152,7 +154,7 @@ def test_push_forward_is_the_cleared_subset_sum():
                 for S in combinations(range(1, n + 1), k):
                     sign, cof = clear_denominator_gm(S, n, k, U)
                     rest = tuple(j for j in range(1, n + 1) if j not in S)
-                    cleared = cleared + sign * cof * relabel_x_sum(U, F, [(1, S + rest)])
+                    cleared = cleared + sign * cof * relabel(U, F, S + rest)
                 assert V * identities._push_forward(F, n, k) == cleared, (n, k)
 
 
@@ -165,11 +167,8 @@ _BUILDER_CASES = _SUBSET_SUM_CASES + [
 def test_reported_counts_are_those_of_the_cleared_sides(builder):
     for identity, params in _BUILDER_CASES:
         rep = run_case(identity, params, builder=builder)
-        assert rep.denominator is not None, (identity, params)
-        assert (rep.lhs_terms, rep.rhs_terms) == (rep.lhs.num_terms, rep.rhs.num_terms), (
-            identity,
-            params,
-        )
+        lhs, rhs = cleared_sides(rep)
+        assert (rep.lhs_terms, rep.rhs_terms) == (lhs.num_terms, rhs.num_terms), (identity, params)
 
 
 def test_non_symmetric_builder_is_rejected():
@@ -214,11 +213,11 @@ def test_k_equal_n_builds_g_once():
 def test_gm_single_row_hand_case():
     # lam=(1), n=2: cleared numerator collapses to the Vandermonde itself
     rep = verify_gm_type((1,), 2)
-    U = rep.lhs.universe
-    V = U.vandermonde([1, 2])
+    lhs, rhs = cleared_sides(rep)
+    V = lhs.universe.vandermonde([1, 2])
     assert rep.passed
-    assert rep.lhs == V  # LHS is G_(0) * V = V
-    assert rep.rhs == V
+    assert lhs == V  # LHS is G_(0) * V = V
+    assert rhs == V
 
 
 def test_gm_full_grid_case():
@@ -229,21 +228,22 @@ def test_gm_full_grid_case():
 def test_gm_builders_agree():
     a = verify_gm_type((2, 1), 3)
     b = verify_gm_type((2, 1), 3, builder=g_determinant)
-    assert a.lhs == b.lhs and a.rhs == b.rhs
+    assert a.sides == b.sides
 
 
 def test_gm_zero_case_convention_and_defect():
     # lam_k - n + k < 0: the left side is the determinant quotient of the
     # zero-padded mu = (-1, 0), G_mu = -b, and the cleared right side is -b*V.
     rep = verify_gm_type((0,), 2)
-    U = rep.lhs.universe
+    lhs, rhs = cleared_sides(rep)
+    U = lhs.universe
     V = U.vandermonde([1, 2])
-    assert rep.lhs == -U.beta() * V
-    assert rep.rhs == -U.beta() * V
+    assert lhs == -U.beta() * V
+    assert rhs == -U.beta() * V
     assert rep.verdict == "pass"
     # the beta = 0 specialization of both sides vanishes
-    assert rep.lhs.substitute({"b": 0}).is_zero
-    assert rep.rhs.substitute({"b": 0}).is_zero
+    assert lhs.substitute({"b": 0}).is_zero
+    assert rhs.substitute({"b": 0}).is_zero
 
 
 def test_gm_zero_case_fails_only_through_beta():
@@ -251,10 +251,11 @@ def test_gm_zero_case_fails_only_through_beta():
     # LHS := 0 failed only through beta; the determinant left side does too
     for lam, n in [((0,), 2), ((1,), 3), ((1, 0), 3)]:
         rep = verify_gm_type(lam, n)
+        lhs, rhs = cleared_sides(rep)
         assert rep.verdict == "pass"
-        assert not rep.rhs.is_zero
-        assert rep.rhs.substitute({"b": 0}).is_zero
-        assert rep.lhs.substitute({"b": 0}).is_zero
+        assert not rhs.is_zero
+        assert rhs.substitute({"b": 0}).is_zero
+        assert lhs.substitute({"b": 0}).is_zero
 
 
 def test_gm_zero_case_extension_vanishes_at_beta_zero():
@@ -271,12 +272,12 @@ def test_gm_zero_case_universe_and_builders():
     # lam=(0), n=3: mu = (-2, 0, 0) has exponents (0, 1, 0), so n_y = n-k-1 = 1
     rep = verify_gm_type((0,), 3)
     assert rep.passed
-    assert rep.lhs.universe.n_y == 1
+    assert rep.sides[0].universe.n_y == 1
     # the zero-case left side does not depend on the builder
     for builder in (g_determinant, g_divided_difference):
         other = verify_gm_type((1, 0), 3, builder=builder)
         assert other.passed
-        assert other.lhs == verify_gm_type((1, 0), 3).lhs
+        assert other.sides[0] == verify_gm_type((1, 0), 3).sides[0]
 
 
 def test_gm_rejects_bad_parameters():
@@ -290,17 +291,17 @@ def test_good_general():
     for n in (1, 2, 4):
         assert verify_good_general(n).passed
     # n = 2 shares the Lemma's 2x2 expansion
-    rep = verify_good_general(2)
-    assert rep.rhs == rep.lhs.universe.vandermonde([1, 2])
+    lhs, rhs = cleared_sides(verify_good_general(2))
+    assert rhs == lhs.universe.vandermonde([1, 2])
 
 
 def test_louck_general():
     assert verify_louck_general(2, 2).passed
     assert verify_louck_general(3, 2).passed
-    # m = n-1 degenerates to the Good case: identical cleared sides
+    # m = n-1 degenerates to the Good case: identical sides
     a = verify_louck_general(1, 2)
     b = verify_good_general(2)
-    assert a.passed and a.lhs == b.lhs and a.rhs == b.rhs
+    assert a.passed and a.sides == b.sides
     with pytest.raises(PreconditionViolatedError):
         verify_louck_general(1, 3)
 
@@ -311,7 +312,8 @@ def test_louck_general():
 def test_fnr_hand_case():
     rep = verify_fnr_type((0,), 1, 2)
     assert rep.passed
-    assert rep.lhs == rep.lhs.universe.vandermonde([1, 2])
+    lhs, _ = cleared_sides(rep)
+    assert lhs == lhs.universe.vandermonde([1, 2])
 
 
 def test_fnr_grid_cases():
@@ -323,14 +325,14 @@ def test_fnr_grid_cases():
 def test_fnr_builders_agree():
     a = verify_fnr_type((1,), 3, 2)
     b = verify_fnr_type((1,), 3, 2, builder=g_determinant)
-    assert a.lhs == b.lhs and a.rhs == b.rhs
+    assert a.sides == b.sides
 
 
 def test_fnr_zero_shape_reduces_to_good_k():
     a = verify_fnr_type((0, 0), 2, 3)
     b = verify_good_k_general(3, 2)
     assert a.passed and b.passed
-    assert a.lhs == b.lhs and a.rhs == b.rhs
+    assert a.sides == b.sides
 
 
 def test_fnr_precondition_gate():
@@ -345,13 +347,13 @@ def test_good_k_general():
         for k in range(n + 1):
             assert verify_good_k_general(n, k).passed
     # k = n: the only subset is [n] and the cleared right side is V itself
-    rep = verify_good_k_general(3, 3)
-    assert rep.rhs == rep.lhs.universe.vandermonde([1, 2, 3])
-    # k = n-1 specializes to the Good identity (same cleared sides)
+    lhs, rhs = cleared_sides(verify_good_k_general(3, 3))
+    assert rhs == lhs.universe.vandermonde([1, 2, 3])
+    # k = n-1 specializes to the Good identity (same sides)
     a = verify_good_k_general(3, 2)
     # both parameter maps give the universe n_y = n-1
     b = verify_good_general(3)
-    assert a.lhs == b.lhs and a.rhs == b.rhs
+    assert a.sides == b.sides
 
 
 @pytest.mark.parametrize(
@@ -382,7 +384,7 @@ def test_corollaries_honor_builder():
         b = verify(*args, builder=recording_determinant)
         assert calls, verify.__name__
         assert a.passed and b.passed
-        assert a.lhs == b.lhs and a.rhs == b.rhs
+        assert a.sides == b.sides
 
 
 # -- determinant lemma and deformed elementary symmetric functions -------------
@@ -393,8 +395,8 @@ def test_vandermonde_lemma():
         rep = verify_vandermonde_lemma(n)
         assert rep.passed
     rep = verify_vandermonde_lemma(2)
-    U = rep.lhs.universe
-    assert rep.lhs == U.x(1) - U.x(2)
+    lhs, _ = rep.sides
+    assert lhs == lhs.universe.x(1) - lhs.universe.x(2)
 
 
 def test_e_beta_values():
@@ -441,9 +443,10 @@ def test_classical_louck_value():
     rep = verify_classical("classical_louck", {"m": 3, "n": 2})
     assert rep.passed
     # h_2(x1,x2) * V against an explicit complete-homogeneous oracle
-    U = rep.lhs.universe
+    lhs, _ = cleared_sides(rep)
+    U = lhs.universe
     h2 = U.x(1) ** 2 + U.x(1) * U.x(2) + U.x(2) ** 2
-    assert rep.lhs == h2 * U.vandermonde([1, 2])
+    assert lhs == h2 * U.vandermonde([1, 2])
 
 
 def test_classical_good_reciprocal_spot_value():
@@ -524,7 +527,8 @@ def test_fast_path_inside_verifier():
     rep = verify_gm_type((0,), 2, builder=perturbed_builder, fast_trials=10, seed=1)
     assert rep.verdict == "fail"
     assert rep.witness is not None
-    assert rep.lhs.eval_rational(rep.witness) != rep.rhs.eval_rational(rep.witness)
+    lhs, rhs = cleared_sides(rep)
+    assert lhs.eval_rational(rep.witness) != rhs.eval_rational(rep.witness)
 
 
 def test_passing_verdict_evaluates_no_point(monkeypatch):

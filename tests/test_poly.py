@@ -23,9 +23,8 @@ from grothpoly import (
     poly_prod,
     poly_sum,
     random_rational_point,
-    relabel_x_sum,
 )
-from helpers import random_polynomial
+from helpers import random_polynomial, relabel
 
 U = VariableUniverse(3, 4)
 
@@ -377,68 +376,10 @@ def test_poly_dot_is_sum_of_products():
         poly_dot(U, [(U.x(1), U.x(2)), (big, U.x(2) ** 56)])
 
 
-def _relabel_oracle(universe, p, maps):
-    """The same sum through substitute: every x of p bound to its target."""
-    out = universe.zero()
-    for sign, targets in maps:
-        bindings = {f"x{r}": universe.x(t) for r, t in enumerate(targets, 1)}
-        out = out + sign * p.substitute(bindings, universe=universe)
-    return out
-
-
-def test_relabel_x_sum_matches_substitute():
-    rng = random.Random(31)
-    # (source n_x, target n_x): into a larger universe, and within one
-    for k, n in [(1, 3), (2, 4), (3, 5), (2, 2), (4, 4)]:
-        small, big = VariableUniverse(k, 3), VariableUniverse(n, 3)
-        for _ in range(6):
-            p = random_polynomial(small, rng, max_terms=12)
-            maps = [
-                (rng.choice((1, -1)), rng.sample(range(1, n + 1), k))
-                for _ in range(rng.randint(1, 5))
-            ]
-            assert relabel_x_sum(big, p, maps) == _relabel_oracle(big, p, maps)
-    # k = 0: a polynomial in b and the y's moves into the new universe as is
-    const_u, big = VariableUniverse(0, 3), VariableUniverse(4, 3)
-    for p in rng_polys(32, 5, const_u, max_terms=8):
-        assert relabel_x_sum(big, p, [(1, ())]) == p.substitute({}, universe=big)
-        assert relabel_x_sum(big, p, [(1, ()), (1, ())]) == 2 * p.substitute({}, universe=big)
-
-
-def test_relabel_x_sum_cancels_to_zero():
-    small, big = VariableUniverse(2, 2), VariableUniverse(3, 2)
-    p = rng_polys(33, 1, small, max_terms=10, nonzero=True)[0]
-    assert relabel_x_sum(big, p, [(1, (3, 1)), (-1, (3, 1))]).num_terms == 0
-    # sym is symmetric in x1, x2, so the swapped relabel cancels it term by term
-    sym = small.x(1) + small.x(2) + small.y(1) * small.x(1) * small.x(2)
-    zero = relabel_x_sum(big, sym, [(1, (1, 3)), (-1, (3, 1))])
-    assert zero == big.zero() and zero.num_terms == 0
-    assert relabel_x_sum(big, p, []) == big.zero()
-
-
-def test_relabel_x_sum_rejects_bad_maps():
-    small, big = VariableUniverse(2, 2), VariableUniverse(3, 2)
-    p = small.circle_plus(1, 2) * small.x(2)
-    for universe, maps in [
-        (VariableUniverse(3, 1), [(1, (1, 2))]),  # n_y differs
-        (VariableUniverse(3, 3), [(1, (1, 2))]),
-        (big, [(1, (2, 2))]),  # a repeated target
-        (big, [(1, (1, 2)), (-1, (3, 3))]),
-        (big, [(1, (0, 2))]),  # out of range
-        (big, [(1, (1, 4))]),
-        (big, [(1, (1,))]),  # wrong length
-        (big, [(1, (1, 2, 3))]),
-        (VariableUniverse(1, 2), [(1, (1, 1))]),
-    ]:
-        with pytest.raises(UniverseMismatchError):
-            relabel_x_sum(universe, p, maps)
-    with pytest.raises(ValueError, match="1 or -1"):
-        relabel_x_sum(big, p, [(2, (1, 2))])
-
-
 def _symmetrized(universe, p, n):
     """Sum of p over all permutations of x_1..x_n (p's universe has n x's)."""
-    return relabel_x_sum(universe, p, [(1, w) for w in permutations(range(1, n + 1))])
+    perms = permutations(range(1, n + 1))
+    return poly_sum(universe, (relabel(universe, p, w) for w in perms))
 
 
 def test_alternant_terms_hand_cases():
@@ -474,7 +415,7 @@ def test_alternant_terms_equal_the_product_counts():
         small = VariableUniverse(n, 1)
         for _ in range(4):
             sym = _symmetrized(small, random_polynomial(small, rng, max_terms=4), n)
-            p = relabel_x_sum(big, sym, [(1, range(1, n + 1))]) * (big.x(4) + big.beta())
+            p = relabel(big, sym, range(1, n + 1)) * (big.x(4) + big.beta())
             assert alternant_terms(p, n) == (p * big.vandermonde(range(1, n + 1))).num_terms
 
 
@@ -522,6 +463,7 @@ def test_json_universe_embedded():
 def test_swap_and_divided_difference():
     p = U.x(1) ** 2 * U.y(1)
     assert p.swap_x(1, 2) == U.x(2) ** 2 * U.y(1)
+    assert p.swap_x(2, 2) is p
     # (x1^2 - x2^2)/(x1 - x2) termwise
     f = U.x(1) ** 2
     assert f.divided_difference(1) == U.x(1) + U.x(2)
