@@ -310,9 +310,11 @@ def factorial_schur(
     return g_tableau(shape, n, universe=universe).substitute({"b": 0})
 
 
+def classical_image(p: Polynomial) -> Polynomial:
+    """p at beta = 0 and y = 0."""
+    return p.substitute({"b": 0, **{f"y{j}": 0 for j in range(1, p.universe.n_y + 1)}})
+
+
 def schur(shape, n: int, *, universe: VariableUniverse | None = None) -> Polynomial:
     """The beta = 0, y = 0 specialization: the Schur polynomial s_lambda(x)."""
-    g = g_tableau(shape, n, universe=universe)
-    bindings: dict[str, int] = {"b": 0}
-    bindings.update({f"y{j}": 0 for j in range(1, g.universe.n_y + 1)})
-    return g.substitute(bindings)
+    return classical_image(g_tableau(shape, n, universe=universe))

@@ -36,8 +36,8 @@ them (Macdonald, Symmetric Functions, I.3).
 The corollaries are parameter maps into the two families: Good's identity
 is the GM-type identity at lam = (n-1,), Louck's at lam = (m,), and Good's
 k-subset identity the FNR-type identity at lam = 0^k, m = k.  One table
-maps each identity tag to its verifier and parameter names (each classical
-tag to the general tag it specializes); run_case dispatches through it.
+maps each tag to its case (each classical tag to the general one it
+specializes); run_case dispatches through it to one comparison.
 
 When the compared sides differ and fast_trials > 0, both are evaluated at
 up to fast_trials seeded random rational points with distinct x's and the
@@ -54,7 +54,13 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Sequence
 
-from .grothendieck import determinant_numerator, g_determinant, g_tableau, restrict
+from .grothendieck import (
+    classical_image,
+    determinant_numerator,
+    g_determinant,
+    g_tableau,
+    restrict,
+)
 from .poly import (
     Polynomial,
     RationalPoint,
@@ -126,12 +132,13 @@ def clear_denominator_fnr(
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """One verdict, decided by comparing the two sides held in ``sides``.
+    """One verdict and the term counts of the two sides it compared.
 
     For the GM and FNR families (and their corollaries and classical
-    images) those are G_mu and d_v F, and lhs_terms and rhs_terms count the
-    terms of the cleared sides V*G_mu and V*d_v F; otherwise ``sides`` are
-    the sides as stated, and so are the counts.
+    images) the sides are G_mu and d_v F, and lhs_terms and rhs_terms count
+    the terms of the cleared sides V*G_mu and V*d_v F; otherwise they count
+    the sides as stated.  A report holds no polynomial: the sides are freed
+    once it is built.
     """
 
     identity: str
@@ -141,7 +148,6 @@ class IdentityReport:
     elapsed: float
     lhs_terms: int
     rhs_terms: int
-    sides: tuple[Polynomial, Polynomial]
 
     @property
     def passed(self) -> bool:
@@ -219,7 +225,6 @@ def _finish(identity, params, universe, lhs, rhs, cleared, started, opts) -> Ide
         elapsed=time.perf_counter() - started,
         lhs_terms=lhs_terms,
         rhs_terms=rhs_terms,
-        sides=(lhs, rhs),
     )
 
 
@@ -272,6 +277,11 @@ def _gm_sides(lam, n, builder):
     return U, lhs, _push_forward(g * tail, n, k)
 
 
+def _gm_case(lam, n, builder):
+    lam = _as_lam(lam)
+    return {"lam": list(lam), "n": n, "k": len(lam)}, *_gm_sides(lam, n, builder)
+
+
 def verify_gm_type(lam: Sequence[int], n: int, *, builder=g_tableau, **opts) -> IdentityReport:
     """G_{(lam_i - n + k)}(x|y) = sum_S G_lam(x_S|y) prod_{j notin S}(1+b x_j)^k / cross(S).
 
@@ -279,23 +289,28 @@ def verify_gm_type(lam: Sequence[int], n: int, *, builder=g_tableau, **opts) -> 
     no tableaux; the left side is then G_mu := g_determinant(mu, n), the
     determinant quotient of the zero-padded mu, whatever the builder.  It is
     a multiple of beta (-b at lam=(0), n=2, k=1) and vanishes at beta = 0,
-    where the numerator has two equal columns: the classical convention,
-    see verify_classical.
+    where the numerator has two equal columns: the classical convention of
+    the classical_gm tag.
     """
-    started = time.perf_counter()
-    lam = _as_lam(lam)
-    params = {"lam": list(lam), "n": n, "k": len(lam)}
-    return _finish("gm_type", params, *_gm_sides(lam, n, builder), True, started, opts)
+    return run_case("gm_type", {"lam": lam, "n": n}, builder=builder, **opts)
+
+
+def _good_case(n, builder):
+    if n < 1:
+        raise PreconditionViolatedError("n must be positive")
+    return {"n": n}, *_gm_sides((n - 1,), n, builder)
 
 
 def verify_good_general(n: int, *, builder=g_tableau, **opts) -> IdentityReport:
     """1 = sum_i [x_i|y]^{n-1} prod_{j != i} (1+b x_j)/(x_i - x_j), cleared by V:
     the GM-type identity at lam = (n-1,)."""
-    started = time.perf_counter()
-    if n < 1:
-        raise PreconditionViolatedError("n must be positive")
-    sides = _gm_sides((n - 1,), n, builder)
-    return _finish("good_general", {"n": n}, *sides, True, started, opts)
+    return run_case("good_general", {"n": n}, builder=builder, **opts)
+
+
+def _louck_case(m, n, builder):
+    if n < 1 or m < n - 1:
+        raise PreconditionViolatedError(f"need m >= n-1 >= 0, got m={m}, n={n}")
+    return {"m": m, "n": n}, *_gm_sides((m,), n, builder)
 
 
 def verify_louck_general(m: int, n: int, *, builder=g_tableau, **opts) -> IdentityReport:
@@ -305,11 +320,7 @@ def verify_louck_general(m: int, n: int, *, builder=g_tableau, **opts) -> Identi
     The complete-homogeneous left side is realized as the single-row
     polynomial G_{(m-n+1)}(x|y); requires m >= n-1.
     """
-    started = time.perf_counter()
-    if n < 1 or m < n - 1:
-        raise PreconditionViolatedError(f"need m >= n-1 >= 0, got m={m}, n={n}")
-    sides = _gm_sides((m,), n, builder)
-    return _finish("louck_general", {"m": m, "n": n}, *sides, True, started, opts)
+    return run_case("louck_general", {"m": m, "n": n}, builder=builder, **opts)
 
 
 # --------------------------------------------------------------------------
@@ -340,30 +351,42 @@ def _fnr_sides(lam, m, n, builder):
     return U, lhs, _push_forward(F, n, k)
 
 
+def _fnr_case(lam, m, n, builder):
+    lam = _as_lam(lam)
+    return {"lam": list(lam), "m": m, "n": n, "k": len(lam)}, *_fnr_sides(lam, m, n, builder)
+
+
 def verify_fnr_type(
     lam: Sequence[int], m: int, n: int, *, builder=g_tableau, **opts
 ) -> IdentityReport:
     """G_mu(x|y) = sum_S G_lam(x_S|y) prod_{i in S}(1+b x_i)^{n-k}
     prod_{j notin S}[x_j|y]^m / prod(x_j - x_i), with
     mu = (m-k,...,m-k, lam_1..lam_k) and lam_1 <= m-k required."""
-    started = time.perf_counter()
-    lam = _as_lam(lam)
-    params = {"lam": list(lam), "m": m, "n": n, "k": len(lam)}
-    return _finish("fnr_type", params, *_fnr_sides(lam, m, n, builder), True, started, opts)
+    return run_case("fnr_type", {"lam": lam, "m": m, "n": n}, builder=builder, **opts)
+
+
+def _good_k_case(n, k, builder):
+    if not 0 <= k <= n or n < 1:
+        raise PreconditionViolatedError(f"need 0 <= k <= n, got k={k}, n={n}")
+    return {"n": n, "k": k}, *_fnr_sides((0,) * k, k, n, builder)
 
 
 def verify_good_k_general(n: int, k: int, *, builder=g_tableau, **opts) -> IdentityReport:
     """1 = sum_S prod_{i in S}(1+b x_i)^{n-k} prod_{j notin S}[x_j|y]^k / prod(x_j - x_i):
     the FNR-type identity at lam = 0^k, m = k."""
-    started = time.perf_counter()
-    if not 0 <= k <= n or n < 1:
-        raise PreconditionViolatedError(f"need 0 <= k <= n, got k={k}, n={n}")
-    sides = _fnr_sides((0,) * k, k, n, builder)
-    return _finish("good_k_general", {"n": n, "k": k}, *sides, True, started, opts)
+    return run_case("good_k_general", {"n": n, "k": k}, builder=builder, **opts)
 
 
 # --------------------------------------------------------------------------
 # determinant lemma and the deformed elementary symmetric recurrence
+
+
+def _vandermonde_case(n, builder):
+    if n < 1:
+        raise PreconditionViolatedError("n must be positive")
+    U = VariableUniverse(n, max(n - 1, 0))
+    lhs = determinant(determinant_numerator(range(n - 1, -1, -1), U))
+    return {"n": n}, U, lhs, U.vandermonde(range(1, n + 1))
 
 
 def verify_vandermonde_lemma(n: int, **opts) -> IdentityReport:
@@ -372,13 +395,7 @@ def verify_vandermonde_lemma(n: int, **opts) -> IdentityReport:
     The left side is g_determinant's numerator at lam = empty (exponents
     n - c), expanded in full.
     """
-    started = time.perf_counter()
-    if n < 1:
-        raise PreconditionViolatedError("n must be positive")
-    U = VariableUniverse(n, max(n - 1, 0))
-    lhs = determinant(determinant_numerator(range(n - 1, -1, -1), U))
-    rhs = U.vandermonde(range(1, n + 1))
-    return _finish("vandermonde_lemma", {"n": n}, U, lhs, rhs, False, started, opts)
+    return run_case("vandermonde_lemma", {"n": n}, **opts)
 
 
 def e_beta(k: int, n: int, universe: VariableUniverse | None = None) -> Polynomial:
@@ -400,59 +417,17 @@ def e_beta(k: int, n: int, universe: VariableUniverse | None = None) -> Polynomi
     return poly_sum(U, terms)
 
 
-def verify_e_beta_recurrence(k: int, n: int, **opts) -> IdentityReport:
-    """E_k(Y_n) = (1 + b y_n) E_k(Y_{n-1}) + y_n E_{k-1}(Y_{n-1})."""
-    started = time.perf_counter()
+def _e_beta_case(k, n, builder):
     if n < 1:
         raise PreconditionViolatedError("n must be positive")
     U = VariableUniverse(0, n)
-    lhs = e_beta(k, n, U)
-    rhs = (U.one() + U.beta() * U.y(n)) * e_beta(k, n - 1, U) + U.y(n) * e_beta(
-        k - 1, n - 1, U
-    )
-    params = {"k": k, "n": n}
-    return _finish("e_beta_recurrence", params, U, lhs, rhs, False, started, opts)
+    rhs = (U.one() + U.beta() * U.y(n)) * e_beta(k, n - 1, U) + U.y(n) * e_beta(k - 1, n - 1, U)
+    return {"k": k, "n": n}, U, e_beta(k, n, U), rhs
 
 
-# --------------------------------------------------------------------------
-# classical specializations
-
-
-def _classicalize(U: VariableUniverse, p: Polynomial) -> Polynomial:
-    bindings = {"b": 0, **{f"y{j}": 0 for j in range(1, U.n_y + 1)}}
-    return p.substitute(bindings)
-
-
-def verify_classical(which: str, params: dict, *, builder=g_tableau, **opts) -> IdentityReport:
-    """beta = 0 (and y = 0) instances of the four classical identities.
-
-    Each substitutes into the compared sides of the corresponding general
-    verifier, G_mu and d_v F; V holds neither beta nor y, so the verdict
-    and the cleared term counts are those of the specialized cleared sides.
-    classical_good additionally checks the reciprocal form
-    1 = sum_i prod_{j != i} (1 - x_i/x_j)^{-1} at seeded random rational
-    points with distinct nonzero coordinates.
-    """
-    started = time.perf_counter()
-    if not isinstance(_IDENTITIES.get(which), str):
-        raise PreconditionViolatedError(f"unknown classical identity {which!r}")
-    verifier, args = _arguments(which, params)
-    rep = verifier(*args, builder=builder)
-    U = rep.sides[0].universe
-    lhs, rhs = (_classicalize(U, side) for side in rep.sides)
-    if which != "classical_good":
-        return _finish(which, rep.params, U, lhs, rhs, True, started, opts)
-    n = params["n"]
-    trials = params.get("trials", 100)
-    seed = params.get("seed", opts.get("seed", 0))
-    out_params = {"n": n, "trials": trials, "seed": seed}
-    report = _finish(which, out_params, U, lhs, rhs, True, started, opts)
-    witness = _good_reciprocal_witness(n, trials, seed)
-    if witness is not None and report.verdict == "pass":
-        report = replace(
-            report, verdict="fail", witness=witness, elapsed=time.perf_counter() - started
-        )
-    return report
+def verify_e_beta_recurrence(k: int, n: int, **opts) -> IdentityReport:
+    """E_k(Y_n) = (1 + b y_n) E_k(Y_{n-1}) + y_n E_{k-1}(Y_{n-1})."""
+    return run_case("e_beta_recurrence", {"k": k, "n": n}, **opts)
 
 
 def _good_reciprocal_witness(n: int, trials: int, seed: int) -> RationalPoint | None:
@@ -553,16 +528,17 @@ def suite_cases(seed: int = 0):
 # --------------------------------------------------------------------------
 # the identity table
 
-# tag -> (verifier, parameter names in positional order); a classical tag
-# maps to the general tag whose cleared sides it specializes
+# tag -> (case, parameter names in positional order, cleared); a classical
+# tag maps to the general tag whose sides it specializes.  A case checks its
+# parameters and returns the report params, the universe and the two sides.
 _IDENTITIES = {
-    "gm_type": (verify_gm_type, ("lam", "n")),
-    "fnr_type": (verify_fnr_type, ("lam", "m", "n")),
-    "vandermonde_lemma": (verify_vandermonde_lemma, ("n",)),
-    "e_beta_recurrence": (verify_e_beta_recurrence, ("k", "n")),
-    "good_general": (verify_good_general, ("n",)),
-    "louck_general": (verify_louck_general, ("m", "n")),
-    "good_k_general": (verify_good_k_general, ("n", "k")),
+    "gm_type": (_gm_case, ("lam", "n"), True),
+    "fnr_type": (_fnr_case, ("lam", "m", "n"), True),
+    "vandermonde_lemma": (_vandermonde_case, ("n",), False),
+    "e_beta_recurrence": (_e_beta_case, ("k", "n"), False),
+    "good_general": (_good_case, ("n",), True),
+    "louck_general": (_louck_case, ("m", "n"), True),
+    "good_k_general": (_good_k_case, ("n", "k"), True),
     "classical_gm": "gm_type",
     "classical_good": "good_general",
     "classical_louck": "louck_general",
@@ -572,14 +548,14 @@ _IDENTITIES = {
 IDENTITY_TAGS = tuple(_IDENTITIES)
 
 
-def _arguments(identity: str, params: dict):
-    """The general verifier behind a tag and its positional arguments from
-    params, which must name exactly the tag's parameters (and for
-    classical_good, optionally the trials and seed of its reciprocal form)."""
+def _case(identity: str, params: dict, builder):
+    """(report params, universe, lhs, rhs, cleared) of a tag's case; params
+    must name exactly the tag's parameters (and for classical_good,
+    optionally the trials and seed of its reciprocal form)."""
     entry = _IDENTITIES.get(identity)
     if entry is None:
         raise PreconditionViolatedError(f"unknown identity {identity!r}")
-    verifier, names = _IDENTITIES[entry] if isinstance(entry, str) else entry
+    case, names, cleared = _IDENTITIES[entry] if isinstance(entry, str) else entry
     missing = [name for name in names if name not in params]
     taken = names + (("trials", "seed") if identity == "classical_good" else ())
     extra = [name for name in params if name not in taken]
@@ -587,14 +563,34 @@ def _arguments(identity: str, params: dict):
         if wrong:
             flags = ", ".join("--" + name.replace("lam", "shape") for name in wrong)
             raise PreconditionViolatedError(f"{identity} {problem} {flags}")
-    return verifier, [params[name] for name in names]
+    out, U, lhs, rhs = case(*(params[name] for name in names), builder)
+    if isinstance(entry, str):
+        lhs, rhs = classical_image(lhs), classical_image(rhs)
+    return out, U, lhs, rhs, cleared
 
 
-def run_case(identity: str, params: dict, **opts) -> IdentityReport:
-    verifier, args = _arguments(identity, params)
-    if isinstance(_IDENTITIES[identity], str):
-        return verify_classical(identity, params, **opts)
-    return verifier(*args, **opts)
+def run_case(identity: str, params: dict, *, builder=g_tableau, **opts) -> IdentityReport:
+    """Verify one case of a tag in IDENTITY_TAGS, with params as in the grids.
+
+    A classical tag is the beta = 0, y = 0 image of its general case: both
+    sides, G_mu and d_v F, are specialized before they are compared and
+    counted; V holds neither beta nor y, so the counts are those of the
+    specialized cleared sides.  classical_good also checks the reciprocal
+    form 1 = sum_i prod_{j != i} (1 - x_i/x_j)^{-1} at seeded random
+    rational points with distinct nonzero coordinates.
+    """
+    started = time.perf_counter()
+    out, *sides = _case(identity, params, builder)
+    if identity != "classical_good":
+        return _finish(identity, out, *sides, started, opts)
+    n, trials = params["n"], params.get("trials", 100)
+    seed = params.get("seed", opts.get("seed", 0))
+    report = _finish(identity, {"n": n, "trials": trials, "seed": seed}, *sides, started, opts)
+    witness = _good_reciprocal_witness(n, trials, seed)
+    if witness is not None and report.passed:
+        elapsed = time.perf_counter() - started
+        report = replace(report, verdict="fail", witness=witness, elapsed=elapsed)
+    return report
 
 
 def run_suite(*, seed: int = 0, fast_trials: int = 0):

@@ -69,8 +69,9 @@ class Partition:
     def __eq__(self, other):
         if isinstance(other, Partition):
             return self.parts == other.parts
-        if isinstance(other, tuple):
-            return self == Partition(other)
+        if isinstance(other, tuple):  # equal up to trailing zeros, else unequal
+            k = len(self.parts)
+            return other[:k] == self.parts and not any(other[k:])
         return NotImplemented
 
     def __hash__(self):

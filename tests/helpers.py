@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from grothpoly import Polynomial, VariableUniverse, g_tableau
+from grothpoly import Polynomial, VariableUniverse, g_tableau, identities
 
 
 def brute_force_ssyt(shape: tuple[int, ...], n: int) -> list[list[list[int]]]:
@@ -73,9 +73,15 @@ def relabel(universe: VariableUniverse, p: Polynomial, targets) -> Polynomial:
     return p.substitute(bindings, universe=universe)
 
 
-def cleared_sides(rep) -> tuple[Polynomial, Polynomial]:
-    """V*G_mu and V*d_v F of a GM/FNR report, V = prod_{i<j}(x_i - x_j)."""
-    lhs, rhs = rep.sides
+def case_sides(identity: str, params: dict, builder=g_tableau) -> tuple[Polynomial, Polynomial]:
+    """The two sides run_case compares for a case, from the lookup it uses."""
+    _, _, lhs, rhs, _ = identities._case(identity, params, builder)
+    return lhs, rhs
+
+
+def cleared_sides(identity: str, params: dict, builder=g_tableau) -> tuple[Polynomial, Polynomial]:
+    """V*G_mu and V*d_v F of a GM/FNR case, V = prod_{i<j}(x_i - x_j)."""
+    lhs, rhs = case_sides(identity, params, builder)
     V = lhs.universe.vandermonde(range(1, lhs.universe.n_x + 1))
     return lhs * V, rhs * V
 

@@ -14,11 +14,9 @@ the same zero cases, where that quotient vanishes, are criterion 7.
 
 import random
 import time
-from itertools import combinations
 
 from grothpoly import (
     InvalidShapeError,
-    Partition,
     VariableUniverse,
     count_tableaux,
     determinant,
@@ -30,7 +28,6 @@ from grothpoly import (
     random_rational_point,
     run_case,
     schur,
-    verify_classical,
     verify_e_beta_recurrence,
     verify_good_general,
     verify_good_k_general,
@@ -175,15 +172,15 @@ def test_criterion_6_corollaries():
 def test_criterion_7_classical_specializations():
     t0 = time.perf_counter()
     for _, params in grid_gm_type(ns=(2, 3, 4), max_part=3):
-        rep = verify_classical("classical_gm", params)
+        rep = run_case("classical_gm", params)
         assert rep.passed, ("classical_gm", params)
     for _, params in grid_fnr_type(ns=(2, 3, 4), max_m=4):
-        rep = verify_classical("classical_fnr", params)
+        rep = run_case("classical_fnr", params)
         assert rep.passed, ("classical_fnr", params)
     for n in (2, 3, 4):
-        rep = verify_classical("classical_good", {"n": n, "trials": 100, "seed": SEED})
+        rep = run_case("classical_good", {"n": n, "trials": 100, "seed": SEED})
         assert rep.passed, ("classical_good", n)
-    rep = verify_classical("classical_louck", {"m": 3, "n": 2})
+    rep = run_case("classical_louck", {"m": 3, "n": 2})
     assert rep.passed
     elapsed = time.perf_counter() - t0
     announce(7, True, "beta=0 (and y=0) grids, 100-point Good checks, Louck (3,2)", elapsed)

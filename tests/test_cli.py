@@ -155,14 +155,14 @@ def test_readme_cli_examples_parse():
 
 def test_verify_fail_exit_1(monkeypatch, capsys):
     # a builder returning G + b makes the identity false on the real CLI path
-    monkeypatch.setitem(identities.verify_gm_type.__kwdefaults__, "builder", perturbed_builder)
+    monkeypatch.setitem(identities.run_case.__kwdefaults__, "builder", perturbed_builder)
     code, out, _ = run_cli(capsys, "verify", "gm_type", "--shape", "0", "--n", "2")
     assert code == 1
     assert "fail" in out
 
 
 def test_verify_witness_proves_failure(monkeypatch, capsys):
-    monkeypatch.setitem(identities.verify_gm_type.__kwdefaults__, "builder", perturbed_builder)
+    monkeypatch.setitem(identities.run_case.__kwdefaults__, "builder", perturbed_builder)
     argv = ("verify", "gm_type", "--shape", "0", "--n", "2", "--fast-trials", "10", "--seed", "1")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
@@ -172,7 +172,7 @@ def test_verify_witness_proves_failure(monkeypatch, capsys):
 
 def test_verify_non_symmetric_builder_exit_2(monkeypatch, capsys):
     # a builder whose G is not symmetric breaks the identities' precondition
-    monkeypatch.setitem(identities.verify_gm_type.__kwdefaults__, "builder", skewed_builder)
+    monkeypatch.setitem(identities.run_case.__kwdefaults__, "builder", skewed_builder)
     code, out, err = run_cli(capsys, "verify", "gm_type", "--shape", "2,1", "--n", "3")
     assert code == 2
     assert out == ""
@@ -186,12 +186,15 @@ def test_benchmark_tracer_keeps_output(monkeypatch, capsys):
     from tracing import Tracer
 
     def verify():
-        code, out, _ = run_cli(
-            capsys, "verify", "gm_type", "--shape", "2,1", "--n", "3", "--format", "json"
-        )
-        obj = json.loads(out)
-        obj.pop("elapsed_ms")
-        return code, obj
+        outs = []
+        for identity in ("gm_type", "classical_gm"):
+            code, out, _ = run_cli(
+                capsys, "verify", identity, "--shape", "2,1", "--n", "3", "--format", "json"
+            )
+            obj = json.loads(out)
+            obj.pop("elapsed_ms")
+            outs.append((code, obj))
+        return outs
 
     plain = verify()
     tracer = Tracer()
@@ -200,8 +203,12 @@ def test_benchmark_tracer_keeps_output(monkeypatch, capsys):
         traced = verify()
     finally:
         tracer.uninstall()
-    assert traced == plain and plain[0] == 0
+    assert traced == plain and all(code == 0 for code, _ in plain)
     assert tracer.calls["grothendieck.restrict"] > 0
+    # the traced builder reaches the cases through run_case's __kwdefaults__,
+    # and each CLI call is one identities.run_case call (identities.cases)
+    assert tracer.calls["grothendieck.g_tableau"] > 0
+    assert tracer.calls["identities.run_case"] == len(plain)
 
 
 def test_verify_json_schema(capsys):
@@ -262,7 +269,7 @@ def test_suite_json_array(monkeypatch, capsys):
 def test_suite_fail_exit_1(monkeypatch, capsys):
     small = [("gm_type", {"lam": [0], "n": 2})]  # a zero case, false with G + b
     monkeypatch.setattr(identities, "suite_cases", lambda seed=0: small)
-    monkeypatch.setitem(identities.verify_gm_type.__kwdefaults__, "builder", perturbed_builder)
+    monkeypatch.setitem(identities.run_case.__kwdefaults__, "builder", perturbed_builder)
     code, out, _ = run_cli(capsys, "suite")
     assert code == 1
     assert "1 fail" in out

@@ -1,6 +1,7 @@
 """Identity verifiers: clearing algebra, each family, classical limits, fast path."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -8,8 +9,7 @@ import pytest
 
 from grothpoly import (
     IDENTITY_TAGS,
-    IdentityReport,
-    Partition,
+    Polynomial,
     PreconditionViolatedError,
     VariableUniverse,
     clear_denominator_fnr,
@@ -19,7 +19,6 @@ from grothpoly import (
     g_determinant,
     g_divided_difference,
     run_case,
-    verify_classical,
     verify_e_beta_recurrence,
     verify_fnr_type,
     verify_gm_type,
@@ -28,10 +27,11 @@ from grothpoly import (
     verify_louck_general,
     verify_vandermonde_lemma,
 )
-from grothpoly import g_tableau, identities, poly_sum
+from grothpoly import alternant_terms, g_tableau, identities, poly_sum
 from grothpoly.identities import grid_corollaries, grid_fnr_type, grid_gm_type
 from cleared_reference import cross_product, fnr_cleared_term, gm_cleared_term
 from helpers import (
+    case_sides,
     cleared_sides,
     elementary_symmetric_oracle,
     perturbed_builder,
@@ -108,7 +108,7 @@ def _per_subset_rhs(identity, params, universe, builder):
 def test_push_forward_equals_per_subset_terms(builder):
     for identity, params in _SUBSET_SUM_CASES:
         rep = run_case(identity, params, builder=builder)
-        _, rhs = cleared_sides(rep)
+        _, rhs = cleared_sides(identity, params, builder)
         assert rhs == _per_subset_rhs(identity, params, rhs.universe, builder), (identity, params)
         if builder is g_tableau:
             assert rep.passed, (identity, params)
@@ -167,7 +167,7 @@ _BUILDER_CASES = _SUBSET_SUM_CASES + [
 def test_reported_counts_are_those_of_the_cleared_sides(builder):
     for identity, params in _BUILDER_CASES:
         rep = run_case(identity, params, builder=builder)
-        lhs, rhs = cleared_sides(rep)
+        lhs, rhs = cleared_sides(identity, params, builder)
         assert (rep.lhs_terms, rep.rhs_terms) == (lhs.num_terms, rhs.num_terms), (identity, params)
 
 
@@ -187,6 +187,16 @@ def test_non_symmetric_builder_is_rejected():
         with pytest.raises(PreconditionViolatedError) as exc:
             run_case(identity, params, builder=skewed_builder, fast_trials=5, seed=3)
         assert str(exc.value).startswith("the builder's " + side), (identity, params)
+
+
+def test_classical_tags_check_symmetry_on_the_specialized_sides():
+    # G + b*x_1 at k = 1: G_lam has nothing to swap, and at b = 0 the G_mu
+    # that gm_type and fnr_type reject above is G itself
+    for identity, params in [
+        ("classical_gm", {"lam": [1], "n": 2}),
+        ("classical_fnr", {"lam": [1], "m": 3, "n": 3}),
+    ]:
+        assert run_case(identity, params, builder=skewed_builder).passed, identity
 
 
 def test_k_equal_n_builds_g_once():
@@ -213,7 +223,7 @@ def test_k_equal_n_builds_g_once():
 def test_gm_single_row_hand_case():
     # lam=(1), n=2: cleared numerator collapses to the Vandermonde itself
     rep = verify_gm_type((1,), 2)
-    lhs, rhs = cleared_sides(rep)
+    lhs, rhs = cleared_sides("gm_type", {"lam": [1], "n": 2})
     V = lhs.universe.vandermonde([1, 2])
     assert rep.passed
     assert lhs == V  # LHS is G_(0) * V = V
@@ -226,16 +236,15 @@ def test_gm_full_grid_case():
 
 
 def test_gm_builders_agree():
-    a = verify_gm_type((2, 1), 3)
-    b = verify_gm_type((2, 1), 3, builder=g_determinant)
-    assert a.sides == b.sides
+    params = {"lam": [2, 1], "n": 3}
+    assert case_sides("gm_type", params) == case_sides("gm_type", params, g_determinant)
 
 
 def test_gm_zero_case_convention_and_defect():
     # lam_k - n + k < 0: the left side is the determinant quotient of the
     # zero-padded mu = (-1, 0), G_mu = -b, and the cleared right side is -b*V.
     rep = verify_gm_type((0,), 2)
-    lhs, rhs = cleared_sides(rep)
+    lhs, rhs = cleared_sides("gm_type", {"lam": [0], "n": 2})
     U = lhs.universe
     V = U.vandermonde([1, 2])
     assert lhs == -U.beta() * V
@@ -251,7 +260,7 @@ def test_gm_zero_case_fails_only_through_beta():
     # LHS := 0 failed only through beta; the determinant left side does too
     for lam, n in [((0,), 2), ((1,), 3), ((1, 0), 3)]:
         rep = verify_gm_type(lam, n)
-        lhs, rhs = cleared_sides(rep)
+        lhs, rhs = cleared_sides("gm_type", {"lam": lam, "n": n})
         assert rep.verdict == "pass"
         assert not rhs.is_zero
         assert rhs.substitute({"b": 0}).is_zero
@@ -272,12 +281,12 @@ def test_gm_zero_case_universe_and_builders():
     # lam=(0), n=3: mu = (-2, 0, 0) has exponents (0, 1, 0), so n_y = n-k-1 = 1
     rep = verify_gm_type((0,), 3)
     assert rep.passed
-    assert rep.sides[0].universe.n_y == 1
+    assert case_sides("gm_type", {"lam": [0], "n": 3})[0].universe.n_y == 1
     # the zero-case left side does not depend on the builder
+    params = {"lam": [1, 0], "n": 3}
     for builder in (g_determinant, g_divided_difference):
-        other = verify_gm_type((1, 0), 3, builder=builder)
-        assert other.passed
-        assert other.sides[0] == verify_gm_type((1, 0), 3).sides[0]
+        assert verify_gm_type((1, 0), 3, builder=builder).passed
+        assert case_sides("gm_type", params, builder)[0] == case_sides("gm_type", params)[0]
 
 
 def test_gm_rejects_bad_parameters():
@@ -291,7 +300,7 @@ def test_good_general():
     for n in (1, 2, 4):
         assert verify_good_general(n).passed
     # n = 2 shares the Lemma's 2x2 expansion
-    lhs, rhs = cleared_sides(verify_good_general(2))
+    lhs, rhs = cleared_sides("good_general", {"n": 2})
     assert rhs == lhs.universe.vandermonde([1, 2])
 
 
@@ -299,9 +308,8 @@ def test_louck_general():
     assert verify_louck_general(2, 2).passed
     assert verify_louck_general(3, 2).passed
     # m = n-1 degenerates to the Good case: identical sides
-    a = verify_louck_general(1, 2)
-    b = verify_good_general(2)
-    assert a.passed and a.sides == b.sides
+    assert verify_louck_general(1, 2).passed
+    assert case_sides("louck_general", {"m": 1, "n": 2}) == case_sides("good_general", {"n": 2})
     with pytest.raises(PreconditionViolatedError):
         verify_louck_general(1, 3)
 
@@ -310,9 +318,8 @@ def test_louck_general():
 
 
 def test_fnr_hand_case():
-    rep = verify_fnr_type((0,), 1, 2)
-    assert rep.passed
-    lhs, _ = cleared_sides(rep)
+    assert verify_fnr_type((0,), 1, 2).passed
+    lhs, _ = cleared_sides("fnr_type", {"lam": [0], "m": 1, "n": 2})
     assert lhs == lhs.universe.vandermonde([1, 2])
 
 
@@ -323,16 +330,14 @@ def test_fnr_grid_cases():
 
 
 def test_fnr_builders_agree():
-    a = verify_fnr_type((1,), 3, 2)
-    b = verify_fnr_type((1,), 3, 2, builder=g_determinant)
-    assert a.sides == b.sides
+    params = {"lam": [1], "m": 3, "n": 2}
+    assert case_sides("fnr_type", params) == case_sides("fnr_type", params, g_determinant)
 
 
 def test_fnr_zero_shape_reduces_to_good_k():
-    a = verify_fnr_type((0, 0), 2, 3)
-    b = verify_good_k_general(3, 2)
-    assert a.passed and b.passed
-    assert a.sides == b.sides
+    assert verify_fnr_type((0, 0), 2, 3).passed and verify_good_k_general(3, 2).passed
+    a = case_sides("fnr_type", {"lam": [0, 0], "m": 2, "n": 3})
+    assert a == case_sides("good_k_general", {"n": 3, "k": 2})
 
 
 def test_fnr_precondition_gate():
@@ -347,13 +352,11 @@ def test_good_k_general():
         for k in range(n + 1):
             assert verify_good_k_general(n, k).passed
     # k = n: the only subset is [n] and the cleared right side is V itself
-    lhs, rhs = cleared_sides(verify_good_k_general(3, 3))
+    lhs, rhs = cleared_sides("good_k_general", {"n": 3, "k": 3})
     assert rhs == lhs.universe.vandermonde([1, 2, 3])
     # k = n-1 specializes to the Good identity (same sides)
-    a = verify_good_k_general(3, 2)
     # both parameter maps give the universe n_y = n-1
-    b = verify_good_general(3)
-    assert a.sides == b.sides
+    assert case_sides("good_k_general", {"n": 3, "k": 2}) == case_sides("good_general", {"n": 3})
 
 
 @pytest.mark.parametrize(
@@ -373,18 +376,20 @@ def test_corollary_maps_check_their_own_preconditions(call, message):
 
 
 def test_corollaries_honor_builder():
-    for verify, args in ((verify_good_general, (3,)), (verify_good_k_general, (4, 2))):
+    for verify, args, identity, params in (
+        (verify_good_general, (3,), "good_general", {"n": 3}),
+        (verify_good_k_general, (4, 2), "good_k_general", {"n": 4, "k": 2}),
+    ):
         calls = []
 
         def recording_determinant(shape, n, *, universe=None):
             calls.append((tuple(shape), n))
             return g_determinant(shape, n, universe=universe)
 
-        a = verify(*args)
-        b = verify(*args, builder=recording_determinant)
+        assert verify(*args).passed
+        assert verify(*args, builder=recording_determinant).passed
         assert calls, verify.__name__
-        assert a.passed and b.passed
-        assert a.sides == b.sides
+        assert case_sides(identity, params) == case_sides(identity, params, g_determinant)
 
 
 # -- determinant lemma and deformed elementary symmetric functions -------------
@@ -394,8 +399,7 @@ def test_vandermonde_lemma():
     for n in (1, 2, 4):
         rep = verify_vandermonde_lemma(n)
         assert rep.passed
-    rep = verify_vandermonde_lemma(2)
-    lhs, _ = rep.sides
+    lhs, _ = case_sides("vandermonde_lemma", {"n": 2})
     assert lhs == lhs.universe.x(1) - lhs.universe.x(2)
 
 
@@ -428,22 +432,47 @@ def test_e_beta_recurrence():
 
 
 def test_classical_gm():
-    assert verify_classical("classical_gm", {"lam": [2, 1], "n": 3}).passed
+    assert run_case("classical_gm", {"lam": [2, 1], "n": 3}).passed
     # classical zero cases hold (duplicate-column collapse at beta=0)
-    assert verify_classical("classical_gm", {"lam": [0], "n": 2}).passed
-    assert verify_classical("classical_gm", {"lam": [1, 0], "n": 3}).passed
+    assert run_case("classical_gm", {"lam": [0], "n": 2}).passed
+    assert run_case("classical_gm", {"lam": [1, 0], "n": 3}).passed
 
 
 def test_classical_fnr():
-    assert verify_classical("classical_fnr", {"lam": [1], "m": 2, "n": 2}).passed
-    assert verify_classical("classical_fnr", {"lam": [1], "m": 3, "n": 3}).passed
+    assert run_case("classical_fnr", {"lam": [1], "m": 2, "n": 2}).passed
+    assert run_case("classical_fnr", {"lam": [1], "m": 3, "n": 3}).passed
+
+
+def test_classical_tags_count_only_specialized_sides(monkeypatch):
+    # a classical report specializes before it counts: no side it counts
+    # keeps b or a y, and no beta-deformed report is built on the way
+    counted = []
+
+    def recording(p, n):
+        counted.append(p)
+        return alternant_terms(p, n)
+
+    monkeypatch.setattr(identities, "alternant_terms", recording)
+    for identity, params in [
+        ("classical_gm", {"lam": [2, 1], "n": 3}),
+        ("classical_gm", {"lam": [1, 0], "n": 3}),
+        ("classical_fnr", {"lam": [1], "m": 3, "n": 3}),
+        ("classical_good", {"n": 3}),
+        ("classical_louck", {"m": 3, "n": 2}),
+    ]:
+        counted.clear()
+        assert run_case(identity, params).passed, identity
+        assert counted, identity
+        for p in counted:
+            names = ["b"] + [f"y{j}" for j in range(1, p.universe.n_y + 1)]
+            assert all(p.degree_in(name) <= 0 for name in names), (identity, params)
 
 
 def test_classical_louck_value():
-    rep = verify_classical("classical_louck", {"m": 3, "n": 2})
+    rep = run_case("classical_louck", {"m": 3, "n": 2})
     assert rep.passed
     # h_2(x1,x2) * V against an explicit complete-homogeneous oracle
-    lhs, _ = cleared_sides(rep)
+    lhs, _ = cleared_sides("classical_louck", {"m": 3, "n": 2})
     U = lhs.universe
     h2 = U.x(1) ** 2 + U.x(1) * U.x(2) + U.x(2) ** 2
     assert lhs == h2 * U.vandermonde([1, 2])
@@ -456,7 +485,7 @@ def test_classical_good_reciprocal_spot_value():
     assert total == 1
     assert 1 / (1 - x1 / x2) == Fraction(5, 3)
     assert 1 / (1 - x2 / x1) == Fraction(-2, 3)
-    rep = verify_classical("classical_good", {"n": 2, "trials": 100, "seed": 7})
+    rep = run_case("classical_good", {"n": 2, "trials": 100, "seed": 7})
     assert rep.passed
 
 
@@ -527,7 +556,7 @@ def test_fast_path_inside_verifier():
     rep = verify_gm_type((0,), 2, builder=perturbed_builder, fast_trials=10, seed=1)
     assert rep.verdict == "fail"
     assert rep.witness is not None
-    lhs, rhs = cleared_sides(rep)
+    lhs, rhs = cleared_sides("gm_type", {"lam": [0], "n": 2}, perturbed_builder)
     assert lhs.eval_rational(rep.witness) != rhs.eval_rational(rep.witness)
 
 
@@ -564,25 +593,46 @@ def test_report_json_schema():
     assert isinstance(obj["elapsed_ms"], int)
 
 
+_SMALLEST = {
+    "gm_type": {"lam": [0], "n": 1},
+    "fnr_type": {"lam": [0], "m": 1, "n": 1},
+    "vandermonde_lemma": {"n": 1},
+    "e_beta_recurrence": {"k": 0, "n": 1},
+    "good_general": {"n": 1},
+    "louck_general": {"m": 0, "n": 1},
+    "good_k_general": {"n": 1, "k": 0},
+    "classical_gm": {"lam": [0], "n": 1},
+    "classical_good": {"n": 1},
+    "classical_louck": {"m": 0, "n": 1},
+    "classical_fnr": {"lam": [0], "m": 1, "n": 1},
+}
+
+
+def test_reports_hold_no_polynomial():
+    def polynomials(value):
+        if isinstance(value, Polynomial):
+            yield value
+        elif isinstance(value, (tuple, list, dict)):
+            for item in value.values() if isinstance(value, dict) else value:
+                yield from polynomials(item)
+
+    reports = [run_case(identity, params) for identity, params in _SMALLEST.items()]
+    reports.append(run_case("gm_type", {"lam": [2, 1], "n": 3}))
+    reports.append(
+        run_case("gm_type", {"lam": [0], "n": 2}, builder=perturbed_builder, fast_trials=5)
+    )
+    assert reports[-1].witness is not None
+    for rep in reports:
+        held = [f.name for f in fields(rep) if any(polynomials(getattr(rep, f.name)))]
+        assert held == [], rep.identity
+
+
 def test_run_case_dispatch():
     assert run_case("good_general", {"n": 2}).passed
     with pytest.raises(PreconditionViolatedError):
         run_case("no_such_identity", {})
-    smallest = {
-        "gm_type": {"lam": [0], "n": 1},
-        "fnr_type": {"lam": [0], "m": 1, "n": 1},
-        "vandermonde_lemma": {"n": 1},
-        "e_beta_recurrence": {"k": 0, "n": 1},
-        "good_general": {"n": 1},
-        "louck_general": {"m": 0, "n": 1},
-        "good_k_general": {"n": 1, "k": 0},
-        "classical_gm": {"lam": [0], "n": 1},
-        "classical_good": {"n": 1},
-        "classical_louck": {"m": 0, "n": 1},
-        "classical_fnr": {"lam": [0], "m": 1, "n": 1},
-    }
-    assert set(smallest) == set(IDENTITY_TAGS)
-    for identity, params in smallest.items():
+    assert set(_SMALLEST) == set(IDENTITY_TAGS)
+    for identity, params in _SMALLEST.items():
         report = run_case(identity, params)
         assert report.identity == identity and report.passed
         # every parameter is required; a missing one is a precondition error
@@ -596,6 +646,6 @@ def test_run_case_rejects_parameters_it_does_not_take():
     with pytest.raises(PreconditionViolatedError, match="^gm_type does not take --k, --m$"):
         run_case("gm_type", {"lam": [1], "n": 2, "k": 3, "m": 7})
     with pytest.raises(PreconditionViolatedError, match="^classical_gm does not take --trials$"):
-        verify_classical("classical_gm", {"lam": [1], "n": 2, "trials": 5})
+        run_case("classical_gm", {"lam": [1], "n": 2, "trials": 5})
     # the reciprocal form of classical_good takes trials and seed besides n
     assert run_case("classical_good", {"n": 2, "trials": 5, "seed": 1}).passed

@@ -1,7 +1,5 @@
 """Partitions, set-valued tableau enumeration, weights."""
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -35,6 +33,17 @@ def test_partition_rejects_bad_input():
         Partition((1, 2))
     with pytest.raises(InvalidPartitionError):
         Partition((2, -1))
+
+
+def test_partition_equals_tuples_up_to_trailing_zeros():
+    assert Partition((2, 1)) == (2, 1) == Partition((2, 1))
+    assert Partition((2, 1)) == (2, 1, 0, 0)
+    assert Partition(()) == (0,)
+    # a tuple that is not a partition compares unequal instead of raising
+    assert Partition((2, 1)) != (1, 2)
+    assert Partition((2, 1)) != (2, 1, -1)
+    assert Partition((2,)) != (2, 1)
+    assert (1, 2) != Partition((2, 1))
 
 
 def test_partition_cells_row_major():
