@@ -14,24 +14,22 @@ a product symmetric in x_1..x_k and in x_{k+1}..x_n:
 such an F the subset sum is the divided difference d_v F, with v the
 longest minimal coset representative of S_n/(S_k x S_{n-k}): the Gysin
 formula of a Grassmannian bundle (Fulton-Pragacz, Schubert Varieties and
-Degeneracy Loci, LNM 1689).  d_v is k(n-k) Newton divided differences,
-d_r, d_{r+1}, ..., d_{r+n-k-1} for r = k, k-1, ..., 1, in that order, and
-each is computed termwise, so a verdict is the structural comparison
-G_mu == d_v F in the polynomial ring: no rational-function arithmetic, no
-Vandermonde product and no sum over subsets.
+Degeneracy Loci, LNM 1689).  V*d_v F, V = prod_{i<j}(x_i - x_j), is
+alternating; alternant_coords reads its alternant coordinates (Macdonald,
+Symmetric Functions, I.3) off F by a signed sort of each exponent vector,
+and a verdict compares those of V*G_mu and V*d_v F: no divided difference,
+no rational-function arithmetic and no sum over subsets.
 
 A builder is called as builder(shape, n, universe=U) and must build G in
 x_1..x_n of any U with U.n_x >= n; G_lam is built so, in the n-variable
 universe of G_mu.  G_lam(x|y) is symmetric in x, and the equality rests on
 it: a builder whose G_lam(x_1..x_k) fails k-1 adjacent swaps raises
-PreconditionViolatedError.
-d_v F is symmetric, so a G_mu that is not symmetric always fails; only a
-failing verdict checks G_mu, and raises the same error.
+PreconditionViolatedError.  The coordinates determine only a symmetric
+polynomial, so every verdict with k < n checks G_mu by n-1 adjacent swaps
+and raises the same error when one fails.
 
-Reports count the terms of the cleared sides V*G_mu and V*d_v F, with
-V = prod_{i<j}(x_i - x_j).  Both products are alternating, so
-alternant_terms reads their counts from the uncleared sides without forming
-them (Macdonald, Symmetric Functions, I.3).
+Reports count the terms of the cleared sides V*G_mu and V*d_v F: n! per
+alternant coordinate, from the coordinates the verdict compared.
 
 The corollaries are parameter maps into the two families: Good's identity
 is the GM-type identity at lam = (n-1,), Louck's at lam = (m,), and Good's
@@ -39,10 +37,11 @@ k-subset identity the FNR-type identity at lam = 0^k, m = k.  One table
 maps each tag to its case (each classical tag to the general one it
 specializes); run_case dispatches through it to one comparison.
 
-When the compared sides differ and fast_trials > 0, both are evaluated at
-up to fast_trials seeded random rational points with distinct x's and the
-first disagreement is reported as a witness; V vanishes at none of them, so
-the witness is that of the cleared sides.  Sampling never changes a verdict.
+When the compared sides differ and fast_trials > 0, both (a subset sum as
+such) are evaluated at up to fast_trials seeded random rational points with
+distinct x's and the first disagreement is reported as a witness; V
+vanishes at none of them, so the witness is that of the cleared sides.
+Sampling never changes a verdict.
 """
 
 from __future__ import annotations
@@ -52,7 +51,8 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Sequence
+from math import factorial, prod
+from typing import Callable, Sequence
 
 from .grothendieck import (
     classical_image,
@@ -65,7 +65,7 @@ from .poly import (
     Polynomial,
     RationalPoint,
     VariableUniverse,
-    alternant_terms,
+    alternant_coords,
     determinant,
     poly_prod,
     poly_sum,
@@ -136,9 +136,9 @@ class IdentityReport:
 
     For the GM and FNR families (and their corollaries and classical
     images) the sides are G_mu and d_v F, and lhs_terms and rhs_terms count
-    the terms of the cleared sides V*G_mu and V*d_v F; otherwise they count
-    the sides as stated.  A report holds no polynomial: the sides are freed
-    once it is built.
+    the terms of the cleared sides V*G_mu and V*d_v F, n! per alternant
+    coordinate; otherwise they count the sides as stated.  A report holds
+    no polynomial: the sides are freed once it is built.
     """
 
     identity: str
@@ -166,21 +166,31 @@ class IdentityReport:
 
 
 def fast_check(
-    lhs: Polynomial,
-    rhs: Polynomial,
+    lhs_at: Callable[[RationalPoint], Fraction],
+    rhs_at: Callable[[RationalPoint], Fraction],
     universe: VariableUniverse,
     trials: int,
     seed: int = 0,
 ) -> RationalPoint | None:
-    """Evaluate both sides at seeded random rational points with distinct x
-    coordinates; return the first witness of disagreement, else None.  The
-    verifiers call it only to explain a failed exact comparison."""
+    """Evaluate both sides, functions of a point, at seeded random rational
+    points with distinct x coordinates; return the first witness of
+    disagreement, else None.  Verifiers call it only after a failed verdict."""
     rng = random.Random(seed)
     for _ in range(trials):
         pt = random_rational_point(universe, rng, distinct_x=True)
-        if lhs.eval_rational(pt) != rhs.eval_rational(pt):
+        if lhs_at(pt) != rhs_at(pt):
             return pt
     return None
+
+
+def _subset_sum_at(F: Polynomial, n: int, k: int, point: RationalPoint) -> Fraction:
+    """sum_S sigma_S(F) / prod_{i in S, j notin S}(x_i - x_j) over the k-subsets S of [n]."""
+    xs, total = point.xs, Fraction(0)
+    for S in combinations(range(n), k):
+        rest = tuple(j for j in range(n) if j not in S)
+        moved = replace(point, xs=tuple(xs[j] for j in S + rest) + xs[n:])
+        total += F.eval_rational(moved) / prod(xs[i] - xs[j] for i in S for j in rest)
+    return total
 
 
 def _is_symmetric(p: Polynomial, k: int) -> bool:
@@ -199,32 +209,34 @@ def _symmetric_g(builder, lam, universe: VariableUniverse) -> Polynomial:
     return g
 
 
-def _finish(identity, params, universe, lhs, rhs, cleared, started, opts) -> IdentityReport:
-    """Compare the sides and report; cleared says the counts are those of
-    V*lhs and V*rhs, V = prod_{i<j}(x_i - x_j), else those of the sides."""
-    passed = lhs == rhs
-    if not cleared:
-        lhs_terms, rhs_terms = lhs.num_terms, rhs.num_terms
-    else:
-        n = universe.n_x
-        # d_v F is symmetric, so only a failing verdict can have a non-symmetric G_mu
-        if not passed and not _is_symmetric(lhs, n):
+def _finish(identity, params, universe, lhs, rhs, k, started, opts) -> IdentityReport:
+    """Compare the sides and report; with k None, as stated.  Else rhs is the F
+    of a subset sum over k-subsets of [n_x]: compare the alternant coordinates
+    of V*G_mu and V*d_v F, after n-1 adjacent swaps check G_mu when k < n; a
+    witness evaluates the sum itself."""
+    n, scale = universe.n_x, 1
+    lhs_at, rhs_at = lhs.eval_rational, rhs.eval_rational
+    if k is not None:
+        if k < n and not _is_symmetric(lhs, n):
             raise PreconditionViolatedError(
                 f"the builder's G_mu for {identity} is not symmetric in x_1..x_{n}"
             )
-        rhs_terms = alternant_terms(rhs, n)
-        lhs_terms = rhs_terms if passed else alternant_terms(lhs, n)
+        rhs_at = lambda pt, F=rhs: _subset_sum_at(F, n, k, pt)
+        coords = alternant_coords(rhs, n, k)
+        lhs = coords if lhs is rhs else alternant_coords(lhs, n)
+        rhs, scale = coords, factorial(n)
+    passed = lhs == rhs
     witness = None
     if not passed and opts.get("fast_trials", 0) > 0:
-        witness = fast_check(lhs, rhs, universe, opts["fast_trials"], opts.get("seed", 0))
+        witness = fast_check(lhs_at, rhs_at, universe, opts["fast_trials"], opts.get("seed", 0))
     return IdentityReport(
         identity=identity,
         params=params,
         verdict="pass" if passed else "fail",
         witness=witness,
         elapsed=time.perf_counter() - started,
-        lhs_terms=lhs_terms,
-        rhs_terms=rhs_terms,
+        lhs_terms=scale * lhs.num_terms,
+        rhs_terms=scale * rhs.num_terms,
     )
 
 
@@ -245,18 +257,8 @@ def _one_plus_bx(universe: VariableUniverse, i: int) -> Polynomial:
     return universe.one() + universe.beta() * universe.x(i)
 
 
-def _push_forward(F: Polynomial, n: int, k: int) -> Polynomial:
-    """d_v F, the sum over k-subsets S of sigma_S(F / prod_{i<=k<j}(x_i - x_j))
-    for F symmetric in x_1..x_k and in x_{k+1}..x_n: d_r, d_{r+1}, ...,
-    d_{r+n-k-1} for r = k, k-1, ..., 1 (the reversed order is wrong)."""
-    for r in range(k, 0, -1):
-        for i in range(r, r + n - k):
-            F = F.divided_difference(i)
-    return F
-
-
 def _gm_sides(lam, n, builder):
-    """(universe, G_mu, d_v F) with F = G_lam(x_1..x_k|y) prod_{j>k}(1+b x_j)^k."""
+    """(universe, G_mu, F, k) with F = G_lam(x_1..x_k|y) prod_{j>k}(1+b x_j)^k."""
     k = len(lam)
     if not 0 <= k <= n or n < 1:
         raise PreconditionViolatedError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -267,14 +269,14 @@ def _gm_sides(lam, n, builder):
     U = VariableUniverse(n, max(lam1 + k - 1, n - k - 1 if zero_case else 0, 0))
     g = _symmetric_g(builder, lam, U)
     if k == n:  # v is the identity and mu = lam: one build
-        return U, g, g
+        return U, g, g, k
     if zero_case:
         # no tableaux exist for a non-partition index: G is the determinant quotient
         lhs = g_determinant(shifted, n, universe=U)
     else:
         lhs = builder(shifted, n, universe=U)
     tail = poly_prod(U, (_one_plus_bx(U, j) ** k for j in range(k + 1, n + 1)))
-    return U, lhs, _push_forward(g * tail, n, k)
+    return U, lhs, g * tail, k
 
 
 def _gm_case(lam, n, builder):
@@ -328,7 +330,7 @@ def verify_louck_general(m: int, n: int, *, builder=g_tableau, **opts) -> Identi
 
 
 def _fnr_sides(lam, m, n, builder):
-    """(universe, G_mu, d_v F) with F = (-1)^{k(n-k)} G_lam(x_1..x_k|y)
+    """(universe, G_mu, F, k) with F = (-1)^{k(n-k)} G_lam(x_1..x_k|y)
     prod_{i<=k}(1+b x_i)^{n-k} prod_{j>k}[x_j|y]^m."""
     k = len(lam)
     if not 0 <= k <= n or n < 1:
@@ -342,13 +344,13 @@ def _fnr_sides(lam, m, n, builder):
     U = VariableUniverse(n, max(m + n - k - 1, 0))
     g = _symmetric_g(builder, lam, U)
     if k == n:  # v is the identity and mu = lam: one build
-        return U, g, g
+        return U, g, g, k
     lhs = builder((m - k,) * (n - k) + tuple(lam), n, universe=U)
     head = poly_prod(U, (_one_plus_bx(U, i) ** (n - k) for i in range(1, k + 1)))
     tail = poly_prod(U, (U.bracket_pow(j, m) for j in range(k + 1, n + 1)))
     # the bracket product is by far the largest factor; multiply it last
     F = ((-g if k * (n - k) % 2 else g) * head) * tail
-    return U, lhs, _push_forward(F, n, k)
+    return U, lhs, F, k
 
 
 def _fnr_case(lam, m, n, builder):
@@ -386,7 +388,7 @@ def _vandermonde_case(n, builder):
         raise PreconditionViolatedError("n must be positive")
     U = VariableUniverse(n, max(n - 1, 0))
     lhs = determinant(determinant_numerator(range(n - 1, -1, -1), U))
-    return {"n": n}, U, lhs, U.vandermonde(range(1, n + 1))
+    return {"n": n}, U, lhs, U.vandermonde(range(1, n + 1)), None
 
 
 def verify_vandermonde_lemma(n: int, **opts) -> IdentityReport:
@@ -422,7 +424,7 @@ def _e_beta_case(k, n, builder):
         raise PreconditionViolatedError("n must be positive")
     U = VariableUniverse(0, n)
     rhs = (U.one() + U.beta() * U.y(n)) * e_beta(k, n - 1, U) + U.y(n) * e_beta(k - 1, n - 1, U)
-    return {"k": k, "n": n}, U, e_beta(k, n, U), rhs
+    return {"k": k, "n": n}, U, e_beta(k, n, U), rhs, None
 
 
 def verify_e_beta_recurrence(k: int, n: int, **opts) -> IdentityReport:
@@ -431,22 +433,17 @@ def verify_e_beta_recurrence(k: int, n: int, **opts) -> IdentityReport:
 
 
 def _good_reciprocal_witness(n: int, trials: int, seed: int) -> RationalPoint | None:
-    """Check 1 = sum_i prod_{j != i} 1/(1 - x_i/x_j) at random rational points."""
+    """Check 1 = sum_i prod_{j != i} 1/(1 - x_i/x_j), the subset sum at k = 1 of
+    F = (-1)^{n-1} x_2...x_n, at random rational points with distinct nonzero x."""
     rng = random.Random(seed)
     U = VariableUniverse(n, 0)
+    F = poly_prod(U, (-U.x(j) for j in range(2, n + 1)))
     for _ in range(trials):
         while True:
             pt = random_rational_point(U, rng, distinct_x=True)
-            if all(v != 0 for v in pt.xs):
+            if all(pt.xs):
                 break
-        total = Fraction(0)
-        for i in range(n):
-            prod = Fraction(1)
-            for j in range(n):
-                if j != i:
-                    prod /= 1 - Fraction(pt.xs[i], pt.xs[j])
-            total += prod
-        if total != 1:
+        if _subset_sum_at(F, n, 1, pt) != 1:
             return pt
     return None
 
@@ -528,17 +525,17 @@ def suite_cases(seed: int = 0):
 # --------------------------------------------------------------------------
 # the identity table
 
-# tag -> (case, parameter names in positional order, cleared); a classical
-# tag maps to the general tag whose sides it specializes.  A case checks its
-# parameters and returns the report params, the universe and the two sides.
+# tag -> (case, parameter names in positional order); a classical tag maps to
+# the general tag whose sides it specializes.  A case checks its parameters and
+# returns the report params, the universe, the sides and k (None: as stated).
 _IDENTITIES = {
-    "gm_type": (_gm_case, ("lam", "n"), True),
-    "fnr_type": (_fnr_case, ("lam", "m", "n"), True),
-    "vandermonde_lemma": (_vandermonde_case, ("n",), False),
-    "e_beta_recurrence": (_e_beta_case, ("k", "n"), False),
-    "good_general": (_good_case, ("n",), True),
-    "louck_general": (_louck_case, ("m", "n"), True),
-    "good_k_general": (_good_k_case, ("n", "k"), True),
+    "gm_type": (_gm_case, ("lam", "n")),
+    "fnr_type": (_fnr_case, ("lam", "m", "n")),
+    "vandermonde_lemma": (_vandermonde_case, ("n",)),
+    "e_beta_recurrence": (_e_beta_case, ("k", "n")),
+    "good_general": (_good_case, ("n",)),
+    "louck_general": (_louck_case, ("m", "n")),
+    "good_k_general": (_good_k_case, ("n", "k")),
     "classical_gm": "gm_type",
     "classical_good": "good_general",
     "classical_louck": "louck_general",
@@ -549,13 +546,13 @@ IDENTITY_TAGS = tuple(_IDENTITIES)
 
 
 def _case(identity: str, params: dict, builder):
-    """(report params, universe, lhs, rhs, cleared) of a tag's case; params
+    """(report params, universe, lhs, rhs, k) of a tag's case; params
     must name exactly the tag's parameters (and for classical_good,
     optionally the trials and seed of its reciprocal form)."""
     entry = _IDENTITIES.get(identity)
     if entry is None:
         raise PreconditionViolatedError(f"unknown identity {identity!r}")
-    case, names, cleared = _IDENTITIES[entry] if isinstance(entry, str) else entry
+    case, names = _IDENTITIES[entry] if isinstance(entry, str) else entry
     missing = [name for name in names if name not in params]
     taken = names + (("trials", "seed") if identity == "classical_good" else ())
     extra = [name for name in params if name not in taken]
@@ -563,21 +560,21 @@ def _case(identity: str, params: dict, builder):
         if wrong:
             flags = ", ".join("--" + name.replace("lam", "shape") for name in wrong)
             raise PreconditionViolatedError(f"{identity} {problem} {flags}")
-    out, U, lhs, rhs = case(*(params[name] for name in names), builder)
-    if isinstance(entry, str):
-        lhs, rhs = classical_image(lhs), classical_image(rhs)
-    return out, U, lhs, rhs, cleared
+    out, U, lhs, rhs, k = case(*(params[name] for name in names), builder)
+    if isinstance(entry, str):  # at k = n, rhs is lhs: specialize it once
+        lhs, rhs = [classical_image(lhs)] * 2 if rhs is lhs else map(classical_image, (lhs, rhs))
+    return out, U, lhs, rhs, k
 
 
 def run_case(identity: str, params: dict, *, builder=g_tableau, **opts) -> IdentityReport:
     """Verify one case of a tag in IDENTITY_TAGS, with params as in the grids.
 
     A classical tag is the beta = 0, y = 0 image of its general case: both
-    sides, G_mu and d_v F, are specialized before they are compared and
-    counted; V holds neither beta nor y, so the counts are those of the
-    specialized cleared sides.  classical_good also checks the reciprocal
-    form 1 = sum_i prod_{j != i} (1 - x_i/x_j)^{-1} at seeded random
-    rational points with distinct nonzero coordinates.
+    sides, G_mu and F, are specialized before they are compared and
+    counted; d_v and V hold neither beta nor y, so the counts are those of
+    the specialized cleared sides.  classical_good also checks the
+    reciprocal form 1 = sum_i prod_{j != i} (1 - x_i/x_j)^{-1} at seeded
+    random rational points with distinct nonzero coordinates.
     """
     started = time.perf_counter()
     out, *sides = _case(identity, params, builder)

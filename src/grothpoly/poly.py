@@ -25,7 +25,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import prod
 from typing import Callable, Iterable, Mapping
 
 _EXP_BITS = 8
@@ -480,25 +480,22 @@ class Polynomial:
         return Polynomial._make(U2, out, degbound)
 
     def eval_rational(self, point: "RationalPoint") -> Fraction:
-        """Exact value at a total rational assignment."""
+        """Exact value at a total rational assignment: one integer sum over
+        the common denominator prod_v q_v^top_v, for values p_v/q_v and top_v
+        the highest exponent of v, of c * prod_v p_v^e_v q_v^(top_v - e_v)."""
         U = self.universe
         vals = point._as_vector(U)
-        total = Fraction(0)
-        pow_cache: dict[tuple[int, int], Fraction] = {}
-        shifts = U._shifts
+        tops = [max(((k >> s) & _EXP_MASK for k in self._terms), default=0) for s in U._shifts]
+        scaled = [
+            ([v.numerator**e * v.denominator ** (top - e) for e in range(top + 1)], s)
+            for v, top, s in zip(vals, tops, U._shifts)
+        ]
+        total = 0
         for k, c in self._terms.items():
-            term = Fraction(c)
-            for v in range(U.nvars):
-                e = (k >> shifts[v]) & _EXP_MASK
-                if not e:
-                    continue
-                pw = pow_cache.get((v, e))
-                if pw is None:
-                    pw = vals[v] ** e
-                    pow_cache[(v, e)] = pw
-                term *= pw
-            total += term
-        return total
+            for powers, s in scaled:
+                c *= powers[(k >> s) & _EXP_MASK]
+            total += c
+        return Fraction(total, prod(v.denominator**top for v, top in zip(vals, tops)))
 
     # -- rendering ---------------------------------------------------------
 
@@ -616,58 +613,63 @@ def poly_dot(
 
 
 @functools.lru_cache(maxsize=None)
-def _signed_staircases(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(sign(w), w(delta)) over the permutations w of delta = (n-1, ..., 0)."""
+def _signed_staircases(universe: VariableUniverse, n: int, k: int) -> tuple:
+    """(sign(w), w(delta), the key of x^w(delta)) over the permutations w of
+    delta = (k-1, ..., 0, n-k-1, ..., 0) that keep both blocks of positions."""
     out = []
     for w in permutations(range(n)):
-        inversions = sum(w[a] > w[b] for a in range(n) for b in range(a + 1, n))
-        out.append((-1 if inversions % 2 else 1, tuple(n - 1 - v for v in w)))
+        if all(v < k for v in w[:k]):
+            sign = (-1) ** sum(w[a] > w[b] for a in range(n) for b in range(a + 1, n))
+            d = tuple((k if i < k else n) - 1 - v for i, v in enumerate(w))
+            key = sum(e << s for e, s in zip(d, universe._shifts[1:]))
+            out.append((sign, d, key + (sum(d) << universe._deg_shift)))
     return tuple(out)
 
 
-def alternant_terms(p: Polynomial, n: int) -> int:
-    """Number of terms of p * prod_{i<j<=n}(x_i - x_j), for p symmetric in x_1..x_n.
+def alternant_coords(p: Polynomial, n: int, k: int | None = None) -> Polynomial:
+    """The terms of V * d_v p at strictly decreasing x_1..x_n exponents, for p
+    symmetric in x_1..x_k and in x_{k+1}..x_n (k = n when omitted): V is
+    prod_{i<j<=n}(x_i - x_j), d_v p = sum_S sigma_S(p / prod_{i<=k<j}(x_i - x_j)).
 
-    The product is alternating in x_1..x_n, so its term count is n! times
-    the terms whose x_1..x_n exponent c is strictly decreasing (Macdonald,
-    Symmetric Functions, I.3).  Expanding the Vandermonde product as
-    sum_w sign(w) x^{w(delta)}, each group of p's terms with one x_1..x_n
-    exponent a is added, signed, at every c = a + w(delta) that is strictly
-    decreasing; nothing is multiplied.  The result is meaningless when p is
-    not symmetric in x_1..x_n.
-    """
+    V * d_v p is alternating, so these terms, its alternant coordinates,
+    determine it, and it has n! times as many (Macdonald, Symmetric
+    Functions, I.3).  p's terms with x_1..x_n exponent a are added at each
+    c = a + w(delta), a signed staircase of the two block Vandermonde
+    products, strictly decreasing in both blocks; c is sorted with the sign
+    of the sort, or dropped when an entry repeats (the Laplace expansion
+    along the first k columns).  Nothing is multiplied."""
     U = p.universe
-    if not 0 <= n <= U.n_x:
-        raise UniverseMismatchError(f"need 0 <= n <= n_x={U.n_x}, got n={n}")
-    if not p._terms:
-        return 0
-    half = n * (n - 1) // 2
+    k = n if k is None else k
+    if not 0 <= k <= n <= U.n_x:
+        raise UniverseMismatchError(f"need 0 <= k <= n <= n_x={U.n_x}, got k={k}, n={n}")
+    half = (k * (k - 1) + (n - k) * (n - k - 1)) // 2
     if p._degbound + half > MAX_TOTAL_DEGREE and p.total_degree() + half > MAX_TOTAL_DEGREE:
         raise DegreeOverflowError(f"product degree exceeds capacity {MAX_TOTAL_DEGREE}")
     shifts = U._shifts[1 : n + 1]
-    mask = 0
-    for s in shifts:
-        mask |= _EXP_MASK << s
+    mask = sum(_EXP_MASK << s for s in shifts)
     groups: dict[int, list[tuple[int, int]]] = {}
-    for k, c in p._terms.items():
-        groups.setdefault(k & mask, []).append((k, c))
-    table = []
-    for sign, d in _signed_staircases(n):
-        offset = half << U._deg_shift
-        for s, e in zip(shifts, d):
-            offset += e << s
-        table.append((sign, d, offset))
+    for key, c in p._terms.items():
+        groups.setdefault(key & mask, []).append((key, c))
+    falls = [i for i in range(n - 1) if i != k - 1]  # adjacent pairs inside a block
+    table = _signed_staircases(U, n, k)
     out: dict[int, int] = {}
     get = out.get
-    adjacent = range(n - 1)
     for head, group in groups.items():
         a = [(head >> s) & _EXP_MASK for s in shifts]
-        for sign, d, offset in table:
-            if all(a[i] + d[i] > a[i + 1] + d[i + 1] for i in adjacent):
-                for k, c in group:
-                    nk = k + offset
-                    out[nk] = get(nk, 0) + sign * c
-    return factorial(n) * sum(1 for c in out.values() if c)
+        for sign, d, delta in table:
+            if any(a[i] + d[i] <= a[i + 1] + d[i + 1] for i in falls):
+                continue
+            if 0 < k < n and a[k - 1] + d[k - 1] <= a[k] + d[k]:  # the blocks interleave
+                c = [u + v for u, v in zip(a, d)]
+                if len(set(c)) < n:
+                    continue
+                if sum(u < v for u in c[:k] for v in c[k:]) % 2:  # the sign of the sort
+                    sign = -sign
+                delta += sum((e - f) << s for e, f, s in zip(sorted(c, reverse=True), c, shifts))
+            for key, coeff in group:
+                nk = key + delta
+                out[nk] = get(nk, 0) + sign * coeff
+    return Polynomial._make(U, {key: c for key, c in out.items() if c}, p._degbound + half)
 
 
 def poly_prod(universe: VariableUniverse, polys: Iterable[Polynomial]) -> Polynomial:

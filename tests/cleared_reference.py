@@ -1,11 +1,12 @@
-"""The cleared subset sum, term by term: the reference the GM/FNR verifiers
-are checked against.
+"""The subset sum two ways: the references the GM/FNR verifiers are checked
+against.
 
 Each identity's right side, cleared by V = prod_{i<j}(x_i - x_j), is the sum
 over k-subsets S of [n] of sign(S) * cofactor(S) * sigma_S(F), where
-V = sign(S) * cofactor(S) * cross(S) (clear_denominator_gm/_fnr).  Summing
-these terms with poly_sum and comparing with V * d_v F shares no code with
-the divided-difference push-forward the verifiers use.
+V = sign(S) * cofactor(S) * cross(S) (clear_denominator_gm/_fnr).  Uncleared,
+it is the push-forward d_v F, taken here as k(n-k) Newton divided
+differences.  Neither shares code with alternant_coords, which the verifiers
+use to read the alternant coordinates of V * d_v F off F.
 """
 
 from __future__ import annotations
@@ -23,6 +24,16 @@ from grothpoly import (
     restrict,
 )
 from grothpoly.identities import _complement, _one_plus_bx
+
+
+def push_forward(F: Polynomial, n: int, k: int) -> Polynomial:
+    """d_v F, the sum over k-subsets S of sigma_S(F / prod_{i<=k<j}(x_i - x_j))
+    for F symmetric in x_1..x_k and in x_{k+1}..x_n: d_r, d_{r+1}, ...,
+    d_{r+n-k-1} for r = k, k-1, ..., 1 (the reversed order is wrong)."""
+    for r in range(k, 0, -1):
+        for i in range(r, r + n - k):
+            F = F.divided_difference(i)
+    return F
 
 
 def cross_product(

@@ -11,6 +11,7 @@ import random
 from itertools import combinations
 
 from grothpoly import Polynomial, VariableUniverse, g_tableau, identities
+from cleared_reference import push_forward
 
 
 def brute_force_ssyt(shape: tuple[int, ...], n: int) -> list[list[list[int]]]:
@@ -74,9 +75,10 @@ def relabel(universe: VariableUniverse, p: Polynomial, targets) -> Polynomial:
 
 
 def case_sides(identity: str, params: dict, builder=g_tableau) -> tuple[Polynomial, Polynomial]:
-    """The two sides run_case compares for a case, from the lookup it uses."""
-    _, _, lhs, rhs, _ = identities._case(identity, params, builder)
-    return lhs, rhs
+    """The two sides of a case, from the lookup run_case uses: for a subset
+    sum, G_mu and d_v F (through the reference push-forward)."""
+    _, U, lhs, rhs, k = identities._case(identity, params, builder)
+    return lhs, (rhs if k is None else push_forward(rhs, U.n_x, k))
 
 
 def cleared_sides(identity: str, params: dict, builder=g_tableau) -> tuple[Polynomial, Polynomial]:
@@ -84,6 +86,19 @@ def cleared_sides(identity: str, params: dict, builder=g_tableau) -> tuple[Polyn
     lhs, rhs = case_sides(identity, params, builder)
     V = lhs.universe.vandermonde(range(1, lhs.universe.n_x + 1))
     return lhs * V, rhs * V
+
+
+def decreasing_terms(p: Polynomial, n: int) -> Polynomial:
+    """The terms of p whose x_1..x_n exponents strictly decrease, read off
+    the packed keys (8-bit fields)."""
+    U = p.universe
+    shifts = [U.shift_of(f"x{i}") for i in range(1, n + 1)]
+    kept = {}
+    for key, c in p._terms.items():
+        e = [(key >> s) & 255 for s in shifts]
+        if all(u > v for u, v in zip(e, e[1:])):
+            kept[key] = c
+    return Polynomial._make(U, kept, p._degbound)
 
 
 def elementary_symmetric_oracle(k: int, n: int, universe: VariableUniverse) -> Polynomial:

@@ -27,12 +27,13 @@ from grothpoly import (
     verify_louck_general,
     verify_vandermonde_lemma,
 )
-from grothpoly import alternant_terms, g_tableau, identities, poly_sum
+from grothpoly import alternant_coords, g_tableau, identities, poly_sum
 from grothpoly.identities import grid_corollaries, grid_fnr_type, grid_gm_type
-from cleared_reference import cross_product, fnr_cleared_term, gm_cleared_term
+from cleared_reference import cross_product, fnr_cleared_term, gm_cleared_term, push_forward
 from helpers import (
     case_sides,
     cleared_sides,
+    decreasing_terms,
     elementary_symmetric_oracle,
     perturbed_builder,
     random_polynomial,
@@ -126,7 +127,7 @@ def test_perturbed_verdicts_keep_their_term_counts():
         assert (obj["lhs_terms"], obj["rhs_terms"]) == counts
 
 
-# -- verdicts on the uncleared sides -------------------------------------------
+# -- verdicts on the alternant coordinates -------------------------------------
 
 
 def _block_symmetrized(universe, p, k):
@@ -141,7 +142,8 @@ def _block_symmetrized(universe, p, k):
 
 
 def test_push_forward_is_the_cleared_subset_sum():
-    # V * d_v F == sum_S sign(S) cofactor(S) sigma_S(F) for block-symmetric F
+    # V * d_v F == sum_S sign(S) cofactor(S) sigma_S(F) for block-symmetric F,
+    # and alternant_coords(F, n, k) are its strictly decreasing terms
     rng = random.Random(7)
     for n in range(1, 5):
         U = VariableUniverse(n, 1)
@@ -155,7 +157,20 @@ def test_push_forward_is_the_cleared_subset_sum():
                     sign, cof = clear_denominator_gm(S, n, k, U)
                     rest = tuple(j for j in range(1, n + 1) if j not in S)
                     cleared = cleared + sign * cof * relabel(U, F, S + rest)
-                assert V * identities._push_forward(F, n, k) == cleared, (n, k)
+                assert V * push_forward(F, n, k) == cleared, (n, k)
+                assert alternant_coords(F, n, k) == decreasing_terms(cleared, n), (n, k)
+
+
+@pytest.mark.parametrize("builder", [g_tableau, perturbed_builder])
+def test_alternant_coords_of_both_sides_on_the_grid(builder):
+    # what _finish compares, against the reference push-forward times V
+    for identity, params in _SUBSET_SUM_CASES:
+        _, U, lhs, F, k = identities._case(identity, params, builder)
+        n = U.n_x
+        V = U.vandermonde(range(1, n + 1))
+        want = decreasing_terms(V * push_forward(F, n, k), n)
+        assert alternant_coords(F, n, k) == want, (identity, params)
+        assert alternant_coords(lhs, n) == decreasing_terms(V * lhs, n), (identity, params)
 
 
 _BUILDER_CASES = _SUBSET_SUM_CASES + [
@@ -173,7 +188,7 @@ def test_reported_counts_are_those_of_the_cleared_sides(builder):
 
 def test_non_symmetric_builder_is_rejected():
     # the side whose builder output is not symmetric; with k = 1 the check on
-    # G_lam has nothing to swap, and only G_mu is caught, on its failing verdict
+    # G_lam has nothing to swap, and only G_mu is caught, as on every k < n verdict
     for identity, params, side in [
         ("gm_type", {"lam": [2, 1], "n": 3}, "G_lam for lam=[2, 1] is not symmetric in x_1..x_2"),
         ("gm_type", {"lam": [1], "n": 2}, "G_mu for gm_type is not symmetric in x_1..x_2"),
@@ -187,6 +202,27 @@ def test_non_symmetric_builder_is_rejected():
         with pytest.raises(PreconditionViolatedError) as exc:
             run_case(identity, params, builder=skewed_builder, fast_trials=5, seed=3)
         assert str(exc.value).startswith("the builder's " + side), (identity, params)
+
+
+def _square_xn_builder(shape, n, *, universe=None):
+    """G + b*x_n^2 from n >= 2 on: G_lam stays symmetric at k = 1, and V*x_n^2
+    has no strictly decreasing exponent, so the coordinates cannot see it."""
+    g = g_tableau(shape, n, universe=universe)
+    return g + g.universe.beta() * g.universe.x(n) ** 2 if n >= 2 else g
+
+
+def test_g_mu_symmetry_is_checked_on_passing_coordinates():
+    # without the check the coordinates of both sides agree and both would pass
+    for identity, params in [
+        ("gm_type", {"lam": [1], "n": 2}),
+        ("fnr_type", {"lam": [1], "m": 3, "n": 3}),
+    ]:
+        _, U, lhs, F, k = identities._case(identity, params, _square_xn_builder)
+        assert alternant_coords(lhs, U.n_x) == alternant_coords(F, U.n_x, k), identity
+        with pytest.raises(PreconditionViolatedError) as exc:
+            run_case(identity, params, builder=_square_xn_builder)
+        message = f"the builder's G_mu for {identity} is not symmetric"
+        assert str(exc.value).startswith(message), identity
 
 
 def test_classical_tags_check_symmetry_on_the_specialized_sides():
@@ -448,11 +484,11 @@ def test_classical_tags_count_only_specialized_sides(monkeypatch):
     # keeps b or a y, and no beta-deformed report is built on the way
     counted = []
 
-    def recording(p, n):
+    def recording(p, n, k=None):
         counted.append(p)
-        return alternant_terms(p, n)
+        return alternant_coords(p, n, k)
 
-    monkeypatch.setattr(identities, "alternant_terms", recording)
+    monkeypatch.setattr(identities, "alternant_coords", recording)
     for identity, params in [
         ("classical_gm", {"lam": [2, 1], "n": 3}),
         ("classical_gm", {"lam": [1, 0], "n": 3}),
@@ -466,6 +502,29 @@ def test_classical_tags_count_only_specialized_sides(monkeypatch):
         for p in counted:
             names = ["b"] + [f"y{j}" for j in range(1, p.universe.n_y + 1)]
             assert all(p.degree_in(name) <= 0 for name in names), (identity, params)
+
+
+def test_classical_k_equal_n_specializes_once(monkeypatch):
+    # at k = n the two sides are one polynomial: one specialization, one set
+    # of coordinates
+    images, counted = [], []
+    classical_image = identities.classical_image
+
+    def recording_image(p):
+        images.append(p)
+        return classical_image(p)
+
+    def recording_coords(p, n, k=None):
+        counted.append(p)
+        return alternant_coords(p, n, k)
+
+    monkeypatch.setattr(identities, "classical_image", recording_image)
+    monkeypatch.setattr(identities, "alternant_coords", recording_coords)
+    assert run_case("classical_gm", {"lam": [2, 1, 0], "n": 3}).passed
+    assert len(images) == 1 and len(counted) == 1
+    images.clear()
+    assert run_case("classical_fnr", {"lam": [1], "m": 3, "n": 3}).passed
+    assert len(images) == 2  # below k = n, G_mu and F
 
 
 def test_classical_louck_value():
@@ -530,13 +589,13 @@ def test_specialization_coherence_fnr_termwise():
 def test_fast_check_equal_sides_never_witness():
     U = VariableUniverse(2, 1)
     p = U.circle_plus(1, 1) * U.circle_plus(2, 1)
-    assert fast_check(p, p, U, trials=25, seed=3) is None
+    assert fast_check(p.eval_rational, p.eval_rational, U, trials=25, seed=3) is None
 
 
 def test_fast_check_finds_perturbation():
     U = VariableUniverse(2, 1)
     p = U.circle_plus(1, 1)
-    w = fast_check(p, p + U.x(1), U, trials=10, seed=3)
+    w = fast_check(p.eval_rational, (p + U.x(1)).eval_rational, U, trials=10, seed=3)
     assert w is not None
     assert (p + U.x(1)).eval_rational(w) != p.eval_rational(w)
 
@@ -544,8 +603,9 @@ def test_fast_check_finds_perturbation():
 def test_fast_check_deterministic():
     U = VariableUniverse(2, 1)
     p = U.circle_plus(1, 1)
-    w1 = fast_check(p, p + U.x(1), U, trials=10, seed=42)
-    w2 = fast_check(p, p + U.x(1), U, trials=10, seed=42)
+    q = p + U.x(1)
+    w1 = fast_check(p.eval_rational, q.eval_rational, U, trials=10, seed=42)
+    w2 = fast_check(p.eval_rational, q.eval_rational, U, trials=10, seed=42)
     assert w1 == w2
 
 

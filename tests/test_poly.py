@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,7 @@ from grothpoly import (
     RationalPoint,
     UniverseMismatchError,
     VariableUniverse,
-    alternant_terms,
+    alternant_coords,
     determinant,
     exact_div,
     from_json_obj,
@@ -24,7 +25,7 @@ from grothpoly import (
     poly_sum,
     random_rational_point,
 )
-from helpers import random_polynomial, relabel
+from helpers import decreasing_terms, random_polynomial, relabel
 
 U = VariableUniverse(3, 4)
 
@@ -382,33 +383,43 @@ def _symmetrized(universe, p, n):
     return poly_sum(universe, (relabel(universe, p, w) for w in perms))
 
 
-def test_alternant_terms_hand_cases():
+def test_alternant_coords_hand_cases():
     two = VariableUniverse(2, 1)
-    assert alternant_terms(two.one(), 2) == 2  # x1 - x2
-    assert alternant_terms(two.x(1) + two.x(2), 2) == 2  # x1^2 - x2^2
-    # n = 1 and n = 0: the Vandermonde product is 1
+    assert alternant_coords(two.one(), 2) == two.x(1)  # x1 - x2
+    assert alternant_coords(two.x(1) + two.x(2), 2) == two.x(1) ** 2  # x1^2 - x2^2
+    # k = 1: d_1 x1 = 1 and d_1 1 = 0; d_1 x1^2 = x1 + x2 and d_1 x2^2 = -(x1 + x2)
+    assert alternant_coords(two.x(1), 2, 1) == two.x(1)
+    assert alternant_coords(two.one(), 2, 1).is_zero
+    assert alternant_coords(two.x(1) ** 2, 2, 1) == two.x(1) ** 2
+    assert alternant_coords(two.x(2) ** 2, 2, 1) == -two.x(1) ** 2
+    # n = 1 and n = 0: the Vandermonde product is 1 and d_v the identity
     one = VariableUniverse(1, 2)
     p = one.circle_plus(1, 2) * one.circle_plus(1, 1)
-    assert alternant_terms(p, 1) == p.num_terms
-    assert alternant_terms(p, 0) == p.num_terms
-    assert alternant_terms(VariableUniverse(0, 2).y(1), 0) == 1
+    for n, k in [(1, 1), (1, 0), (0, 0)]:
+        assert alternant_coords(p, n, k) == p
+    assert alternant_coords(VariableUniverse(0, 2).y(1), 0) == VariableUniverse(0, 2).y(1)
     for universe, n in [(two, 2), (one, 1), (U, 3), (U, 0)]:
-        assert alternant_terms(universe.zero(), n) == 0
+        for k in range(n + 1):
+            assert alternant_coords(universe.zero(), n, k).is_zero
 
 
-def test_alternant_terms_equal_the_product_counts():
+def test_alternant_coords_equal_the_product_counts():
+    # the coordinates are the strictly decreasing terms of p * V, n! per term of it
     rng = random.Random(41)
     for n in range(1, 5):
         universe = VariableUniverse(n, 2)
         V = universe.vandermonde(range(1, n + 1))
         for _ in range(6):
             p = _symmetrized(universe, random_polynomial(universe, rng, max_terms=4), n)
-            assert alternant_terms(p, n) == (p * V).num_terms
+            coords = alternant_coords(p, n)
+            assert coords == decreasing_terms(p * V, n)
+            assert factorial(n) * coords.num_terms == (p * V).num_terms
     # a cancelling case: e_1 * V has fewer terms than the pairs of factors
     U3 = VariableUniverse(3, 1)
     e1 = U3.x(1) + U3.x(2) + U3.x(3)
     V3 = U3.vandermonde([1, 2, 3])
-    assert alternant_terms(e1, 3) == (e1 * V3).num_terms < e1.num_terms * V3.num_terms
+    assert 6 * alternant_coords(e1, 3).num_terms == (e1 * V3).num_terms
+    assert (e1 * V3).num_terms < e1.num_terms * V3.num_terms
     # symmetric in x_1..x_n only, inside a universe with more x's
     big = VariableUniverse(4, 1)
     for n in range(0, 4):
@@ -416,19 +427,23 @@ def test_alternant_terms_equal_the_product_counts():
         for _ in range(4):
             sym = _symmetrized(small, random_polynomial(small, rng, max_terms=4), n)
             p = relabel(big, sym, range(1, n + 1)) * (big.x(4) + big.beta())
-            assert alternant_terms(p, n) == (p * big.vandermonde(range(1, n + 1))).num_terms
+            product = p * big.vandermonde(range(1, n + 1))
+            assert alternant_coords(p, n) == decreasing_terms(product, n)
 
 
-def test_alternant_terms_rejects_bad_counts_and_overflow():
-    for n in (-1, 4):
+def test_alternant_coords_rejects_bad_counts_and_overflow():
+    for n, k in [(-1, None), (4, None), (2, 3), (2, -1)]:
         with pytest.raises(UniverseMismatchError):
-            alternant_terms(U.x(1), n)
+            alternant_coords(U.x(1), n, k)
     two = VariableUniverse(2, 0)
     p = two.x(1) ** 255 + two.x(2) ** 255
     with pytest.raises(DegreeOverflowError):
         p * two.vandermonde([1, 2])
     with pytest.raises(DegreeOverflowError):
-        alternant_terms(p, 2)
+        alternant_coords(p, 2)
+    # at k = 1 the block Vandermonde products are 1: nothing overflows
+    assert alternant_coords(p, 2, 1).is_zero
+    assert alternant_coords(two.x(1) ** 255, 2, 1) == two.x(1) ** 255
 
 
 def test_str_rendering():
