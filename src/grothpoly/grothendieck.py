@@ -6,16 +6,20 @@ G_lambda(x|y) in n variables is built as
                               tableaux with entries in [n];
 * ``g_determinant``        -- the determinant quotient
                               det([x_i|y]^{lam_j+n-j} (1+b x_i)^{j-1}) / V(x),
-                              V the Vandermonde product;
+                              V the Vandermonde product, computed as d_{w0}
+                              of the reversed diagonal product;
 * ``g_divided_difference`` -- isobaric divided differences applied to the
                               staircase seed prod_{i+j<=p} (x_i (+) y_j),
                               driven down the weak order from the longest
                               permutation of S_p to the Grassmannian
                               permutation attached to lambda.
 
-All three agree (checked exactly in the test suite).  The default universe
-for a result in n variables is (n_x=n, n_y=n+lam_1-1), the largest y index
-any tableau weight or determinant entry can touch.
+All three agree (checked exactly in the test suite).  g_determinant and
+g_divided_difference share the ring's divided difference kernel; g_tableau
+shares no step with g_determinant beyond ring arithmetic, and the sympy
+oracle of the tests shares no code with it at all.  The default universe for
+a result in n variables is (n_x=n, n_y=n+lam_1-1), the largest y index any
+tableau weight or determinant entry can touch.
 
 The determinant quotient alone also makes sense for an integer sequence that
 is not a partition, as long as every exponent lam_j + n - j stays
@@ -30,14 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .poly import (
-    Polynomial,
-    UniverseMismatchError,
-    VariableUniverse,
-    cofactor_expansion,
-    exact_div,
-    poly_sum,
-)
+from .poly import Polynomial, UniverseMismatchError, VariableUniverse, poly_sum
 from .tableaux import (
     InvalidPartitionError,
     Partition,
@@ -92,16 +89,19 @@ def _determinant_index(shape, n: int) -> tuple[int, ...]:
     return shape.padded(n)
 
 
+def _numerator_entry(U: VariableUniverse, i: int, e: int, j: int) -> Polynomial:
+    """[x_i|y]^e (1+b x_i)^j, an entry of the determinant quotient's numerator."""
+    return U.bracket_pow(i, e) * (U.one() + U.beta() * U.x(i)) ** j
+
+
 def determinant_numerator(
     exponents: Sequence[int], universe: VariableUniverse
 ) -> list[list[Polynomial]]:
     """The rows [x_i|y]^{e_j} (1+b x_i)^{j-1}, i, j = 1..n, for exponents e_1..e_n."""
-    U = universe
-    rows = []
-    for i in range(1, len(exponents) + 1):
-        one_plus_bx = U.one() + U.beta() * U.x(i)
-        rows.append([U.bracket_pow(i, e) * one_plus_bx**j for j, e in enumerate(exponents)])
-    return rows
+    return [
+        [_numerator_entry(universe, i, e, j) for j, e in enumerate(exponents)]
+        for i in range(1, len(exponents) + 1)
+    ]
 
 
 def g_determinant(shape, n: int, *, universe: VariableUniverse | None = None) -> Polynomial:
@@ -113,26 +113,27 @@ def g_determinant(shape, n: int, *, universe: VariableUniverse | None = None) ->
     The default universe reaches the largest exponent, max_j lam_j + n - j,
     which for a partition is the usual n + lam_1 - 1.
 
-    The numerator goes through the shared cofactor expansion
-    (poly.cofactor_expansion), which builds the minors one level at a time
-    and here divides each minor over rows r..n by the Vandermonde of that
-    row range, one exact_div per factor x_r - x_j (j > r), each a
-    synthetic division.  The minor is alternating in those rows, so the
-    division is exact (a NotDivisibleError would be an internal error) and
-    the stored minors stay quotient-sized.
+    The quotient det(f_j(x_i)) / V, f_j(x) = [x|y]^{e_j} (1+b x)^{j-1}, is
+    the antisymmetrizer over V, which is d_{w0} (Macdonald, Notes on
+    Schubert Polynomials, (2.10)); on the reversed diagonal product it is
+    G = (-1)^{n(n-1)/2} d_{w0}(prod_j f_j(x_{n+1-j})).  With
+    d_{w0} = (d_{n-1}...d_1)(d_{n-1}...d_2)...(d_{n-1}) it is built one
+    variable at a time: for r = n, ..., 1, multiply by f_{n-r+1}(x_r), then
+    apply d_r, ..., d_{n-1}; the factors still to come live in x_1..x_{r-1}
+    and are constants for those operators.  No determinant is expanded and
+    nothing is divided.  The largest exponent goes in first, at x_n, which
+    keeps the intermediate products small.
     """
     lam = _determinant_index(shape, n)
     exponents = [lam[j - 1] + n - j for j in range(1, n + 1)]
     U = universe if universe is not None else VariableUniverse(n, max(exponents, default=0))
-    if n == 0:  # the empty determinant, which cofactor_expansion rejects
-        return U.one()
-
-    def divide_out_vandermonde(r: int, minor: Polynomial) -> Polynomial:
-        for j in range(r + 2, n + 1):
-            minor = exact_div(minor, U.x(r + 1) - U.x(j))
-        return minor
-
-    return cofactor_expansion(determinant_numerator(exponents, U), divide_out_vandermonde)
+    g = U.one()
+    for j, e in enumerate(exponents):
+        r = n - j
+        g = g * _numerator_entry(U, r, e, j)
+        for i in range(r, n):
+            g = g.divided_difference(i)
+    return -g if n * (n - 1) // 2 % 2 else g
 
 
 @dataclass(frozen=True)

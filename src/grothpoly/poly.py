@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import prod
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 _EXP_BITS = 8
 _EXP_MASK = (1 << _EXP_BITS) - 1
@@ -559,10 +559,13 @@ class Polynomial:
 def from_json_obj(obj: Mapping) -> Polynomial:
     """Rebuild a polynomial from its wire form (tolerates unsorted input)."""
     U = VariableUniverse(int(obj["universe"]["n_x"]), int(obj["universe"]["n_y"]))
-    out = U.zero()
-    for term in obj["terms"]:
-        out = out + U.monomial(int(term["coeff"]), {k: int(e) for k, e in term["exps"].items()})
-    return out
+    return poly_sum(
+        U,
+        (
+            U.monomial(int(term["coeff"]), {k: int(e) for k, e in term["exps"].items()})
+            for term in obj["terms"]
+        ),
+    )
 
 
 def poly_sum(universe: VariableUniverse, polys: Iterable[Polynomial]) -> Polynomial:
@@ -682,15 +685,13 @@ def poly_prod(universe: VariableUniverse, polys: Iterable[Polynomial]) -> Polyno
 
 
 def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
-    """Quotient q with p == q*d exactly.
+    """Quotient q with p == q*d exactly, by sparse long division under the
+    canonical graded-lex order: the leading term of the remainder is divided
+    by d's leading term until nothing is left.
 
-    A divisor that is exactly x_i - x_j is divided out by synthetic
-    division in x_i, q_(a-1) = f_a + x_j q_a over the x_i-degrees a of p
-    from the top down; the remainder f_0 + x_j q_0 is p(x_i = x_j), and
-    must vanish.  Every other divisor goes through sparse long division
-    under the canonical graded-lex order.  Every division in this package
-    is exact, so a nonzero remainder signals a broken identity or a caller
-    bug and raises NotDivisibleError.
+    Callers divide only where the quotient exists, so a leading term that
+    does not divide, or a nonzero remainder, signals a broken identity or a
+    caller bug and raises NotDivisibleError.
     """
     if p.universe != d.universe:
         raise UniverseMismatchError("operands live in different universes")
@@ -699,9 +700,6 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
     U = p.universe
     if p.is_zero:
         return U.zero()
-    pair = _x_difference_shifts(d)
-    if pair is not None:
-        return _divide_by_x_difference(p, *pair)
     dk = max(d._terms)
     dc = d._terms[dk]
     tail = [(k, c) for k, c in d._terms.items() if k != dk]
@@ -737,91 +735,14 @@ def exact_div(p: Polynomial, d: Polynomial) -> Polynomial:
     return Polynomial._make(U, quot, max((k >> ds for k in quot), default=0))
 
 
-def _x_difference_shifts(d: Polynomial) -> tuple[int, int] | None:
-    """The field shifts (of x_i, of x_j) when d is exactly x_i - x_j, else None."""
-    if len(d._terms) != 2:
-        return None
-    U = d.universe
-    unit = 1 << U._deg_shift
-    x_shifts = U._shifts[1 : 1 + U.n_x]
-    found = {}
-    for k, c in d._terms.items():
-        low = k - unit
-        s = low.bit_length() - 1
-        if low != 1 << s or s not in x_shifts:
-            return None
-        found[c] = s
-    if set(found) != {1, -1}:
-        return None
-    return found[1], found[-1]
-
-
-def _divide_by_x_difference(p: Polynomial, si: int, sj: int) -> Polynomial:
-    """p / (x_i - x_j) by synthetic division in x_i (si, sj: their shifts)."""
-    U = p.universe
-    terms = p._terms
-    # p's own keys, bucketed by their x_i-degree a (the f_a of exact_div)
-    top = max((k >> si) & _EXP_MASK for k in terms)
-    buckets: list[list[int]] = [[] for _ in range(top + 1)]
-    for k in terms:
-        buckets[(k >> si) & _EXP_MASK].append(k)
-    unit = 1 << U._deg_shift
-    down = (1 << si) + unit  # f_a x_i^a -> its term of q_(a-1) x_i^(a-1)
-    carry = (1 << sj) - (1 << si)  # q_a x_i^a -> x_j q_a x_i^(a-1)
-    quot: dict[int, int] = {}
-    get = quot.get
-    prev: list[int] = []  # keys of q_a x_i^a, a = the degree just finished
-    for a in range(top, 0, -1):
-        cur = []
-        for k in buckets[a]:
-            quot[k - down] = terms[k]
-            cur.append(k - down)
-        for k in prev:
-            c = quot[k]
-            if not c:  # cancelled: drop it rather than carry a zero
-                del quot[k]
-                continue
-            nk = k + carry
-            old = get(nk)
-            if old is None:
-                quot[nk] = c
-                cur.append(nk)
-            else:
-                quot[nk] = old + c
-        prev = cur
-    # the remainder f_0 + x_j q_0 vanishes iff x_j q_0 == -f_0 term by term
-    up = (1 << sj) + unit
-    matched = 0
-    for k in prev:
-        c = quot[k]
-        if not c:
-            del quot[k]
-            continue
-        if terms.get(k + up) != -c:
-            raise NotDivisibleError("nonzero remainder")
-        matched += 1
-    if matched != len(buckets[0]):
-        raise NotDivisibleError("nonzero remainder")
-    ds = U._deg_shift
-    return Polynomial._make(U, quot, max((k >> ds for k in quot), default=0))
-
-
 def determinant(rows: list[list[Polynomial]]) -> Polynomial:
-    """Exact determinant by cofactor expansion, one level of minors at a time."""
-    return cofactor_expansion(rows, lambda r, minor: minor)
+    """Exact determinant by cofactor expansion along the rows, built one
+    level of minors at a time.
 
-
-def cofactor_expansion(
-    rows: list[list[Polynomial]], reduce: Callable[[int, Polynomial], Polynomial]
-) -> Polynomial:
-    """Cofactor expansion along the rows, built one level of minors at a time.
-
-    Level s holds, for every set of s columns, reduce(r, minor), with minor
-    the expansion of rows r = n-s..n-1 (0-based) on those columns: one
-    poly_dot over the row-r entries (the sign applied by negating the
-    entry) and the stored values of level s-1.  Once level s's sums exist
-    level s-1 is dropped, before reduce runs, so at most two levels are
-    alive at once.  determinant passes the identity for reduce.
+    Level s holds, for every set of s columns, the expansion of rows
+    r = n-s..n-1 (0-based) on those columns: one poly_dot over the row-r
+    entries (the sign applied by negating the entry) and the stored values
+    of level s-1.  Only two levels are alive at once.
     """
     n = len(rows)
     if n == 0:
@@ -847,10 +768,7 @@ def cofactor_expansion(
             sums[mask] = poly_dot(
                 U, [(signed[t & 1][c], level[mask ^ (1 << c)]) for t, c in enumerate(cols)]
             )
-        level = sums  # drops level s-1 before the divisions run
-        for mask in list(level):
-            # popped, so reduce holds the sum's only reference and can free it
-            level[mask] = reduce(r, level.pop(mask))
+        level = sums
     return level[(1 << n) - 1]
 
 

@@ -71,12 +71,15 @@ def test_g_determinant_against_sympy_quotient():
     sympy = pytest.importorskip("sympy")
     box = [(), (1,), (2,), (1, 1), (2, 1), (2, 2)]
     cases = [(lam, n) for n in (1, 2, 3) for lam in box if len(lam) <= n]
-    for index, n in cases + [((-1, 0), 2)]:
+    cases += [((1,), 4), ((1, 1, 1), 4)]
+    # non-partition indices of the kind the GM grid's zero cases pass in
+    cases += [((-1, 0), 2), ((1, -1), 3), ((2, -1), 3), ((0, 0, -1), 4), ((-3,), 4)]
+    for index, n in cases:
+        e = [p + n - 1 - j for j, p in enumerate(tuple(index) + (0,) * (n - len(index)))]
         names = ["b"] + [f"x{i}" for i in range(1, n + 1)]
-        names += [f"y{t}" for t in range(1, n + max(index, default=0) + 1)]
+        names += [f"y{t}" for t in range(1, max(e, default=0) + 1)]
         R, b, *rest = sympy.ring(",".join(names), sympy.ZZ)
         xs, ys = rest[:n], rest[n:]
-        e = [p + n - 1 - j for j, p in enumerate(tuple(index) + (0,) * (n - len(index)))]
 
         def entry(i, j):
             out = (1 + b * xs[i]) ** j

@@ -248,8 +248,8 @@ def test_exact_div_determinant_numerator():
 
 
 def test_exact_div_by_x_difference_matches_long_division():
-    # x_i - x_j is divided out synthetically; 2(x_i - x_j) goes through the
-    # long division, which serves as the reference
+    # x_i - x_j, whose leading coefficient is 1, against the round trip and
+    # against 2(x_i - x_j), whose leading coefficient is not
     W = VariableUniverse(4, 3)
     rng = random.Random(11)
     for i in range(1, 5):
@@ -468,6 +468,26 @@ def test_json_round_trip_and_order():
     assert keys == sorted(keys, reverse=True)
     assert all(isinstance(t["coeff"], str) for t in obj["terms"])
     assert from_json_obj(json.loads(json.dumps(obj))) == p
+
+
+def test_json_tolerates_unsorted_input():
+    # duplicated terms are summed, terms that cancel vanish, order is free
+    p = 3 * U.x(1) ** 2 * U.y(2) - U.beta() + 7
+    terms = p.to_json_obj()["terms"]
+    extra = [
+        {"coeff": "5", "exps": {"x2": 1, "y1": 3}},
+        {"coeff": "-5", "exps": {"y1": 3, "x2": 1}},
+        {"coeff": "-1", "exps": {"x1": 2, "y2": 1}},
+        {"coeff": "1", "exps": {"x1": 2, "y2": 1}},
+        {"coeff": "2", "exps": {"b": 1}},
+    ]
+    rng = random.Random(12)
+    for _ in range(5):
+        shuffled = terms + extra
+        rng.shuffle(shuffled)
+        q = from_json_obj({"universe": {"n_x": 3, "n_y": 4}, "terms": shuffled})
+        assert q == 3 * U.x(1) ** 2 * U.y(2) + U.beta() + 7
+        assert q.num_terms == 3
 
 
 def test_json_universe_embedded():
