@@ -3,7 +3,8 @@
 G_lambda(x|y) in n variables is built as
 
 * ``g_tableau``            -- the weight generating function over set-valued
-                              tableaux with entries in [n];
+                              tableaux with entries in [n], summed by a
+                              transfer matrix over the row-major cells;
 * ``g_determinant``        -- the determinant quotient
                               det([x_i|y]^{lam_j+n-j} (1+b x_i)^{j-1}) / V(x),
                               V the Vandermonde product, computed as d_{w0}
@@ -34,14 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .poly import Polynomial, UniverseMismatchError, VariableUniverse, poly_sum
-from .tableaux import (
-    InvalidPartitionError,
-    Partition,
-    coerce_partition,
-    enumerate_tableaux,
-    weight,
-)
+from .poly import Polynomial, UniverseMismatchError, VariableUniverse, poly_dot
+from .poly import poly_sum  # noqa: F401 -- the benchmark's tracer test reads it here
+from .tableaux import InvalidPartitionError, Partition, coerce_partition
 
 
 class InvalidShapeError(ValueError):
@@ -63,11 +59,66 @@ def g_tableau(shape, n: int, *, universe: VariableUniverse | None = None) -> Pol
     """Sum of tableau weights over all set-valued tableaux of the shape.
 
     A shape with more than n rows has no tableaux and gives 0; the empty
-    shape gives 1.
+    shape gives 1.  No tableau is enumerated and no weight expanded on its
+    own, and no step is shared with g_determinant beyond ring arithmetic.
+
+    The sum runs as a transfer matrix over the cells in row-major order.
+    The state after a cell is its profile: the largest entry of the latest
+    filled cell in each column, cut to the next row's length when a row
+    ends.  Cell (i, j) with content c = j - i takes the subsets A of
+    [lo, n] with lo = max(left neighbour's max, 1 + max of the cell above);
+    those with max A = m weigh, summed over A,
+    (x_m (+) y_{m+c}) prod_{t=lo}^{m-1} (1 + b (x_t (+) y_{t+c})).
+    m stops where the cells below it in column j can still be filled, so
+    every state reached extends to a tableau.  The reachable profiles are
+    listed forward, then the suffix sums are taken backward one cell at a
+    time, with only two levels of them alive.
     """
     shape = coerce_partition(shape)
     U = universe if universe is not None else default_universe(shape, n)
-    return poly_sum(U, (weight(t, U) for t in enumerate_tableaux(shape, n)))
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    lam = shape.parts
+    if len(lam) > n:
+        return U.zero()
+    cells = list(shape.cells())
+
+    def moves(idx: int, prof: tuple[int, ...]):
+        """(lo, m, next profile) for each largest entry m of cell idx."""
+        i, j = cells[idx]
+        lo = max(prof[j - 2] if j > 1 else 1, prof[j - 1] + 1 if i > 1 else 1)
+        keep = (lam + (0,))[i] if j == lam[i - 1] else None
+        top = n + i - sum(p >= j for p in lam)  # leaves room below in column j
+        for m in range(lo, top + 1):
+            yield lo, m, (prof[: j - 1] + (m,) + prof[j:])[:keep]
+
+    one, beta = U.one(), U.beta()
+    cell_sums: dict[tuple[int, int, int], Polynomial] = {}
+
+    def cell_sum(c: int, lo: int, m: int) -> Polynomial:
+        if (c, lo, m) not in cell_sums:
+            for t in range(lo, m + 1):
+                if t > U.n_x or t + c > U.n_y or t + c < 1:
+                    raise UniverseMismatchError(
+                        f"weight needs x{t} and y{t + c}; universe is {U!r}"
+                    )
+            w = U.circle_plus(m, m + c)
+            for t in range(lo, m):
+                w = w * (one + beta * U.circle_plus(t, t + c))
+            cell_sums[c, lo, m] = w
+        return cell_sums[c, lo, m]
+
+    levels = [{()}]
+    for idx in range(len(cells) - 1):
+        levels.append({q for prof in levels[-1] for _, _, q in moves(idx, prof)})
+    sums = {(): one}
+    for idx in range(len(cells) - 1, -1, -1):
+        c = cells[idx][1] - cells[idx][0]
+        sums = {
+            prof: poly_dot(U, [(cell_sum(c, lo, m), sums[q]) for lo, m, q in moves(idx, prof)])
+            for prof in levels.pop()
+        }
+    return sums[()]
 
 
 def _determinant_index(shape, n: int) -> tuple[int, ...]:

@@ -10,7 +10,15 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
-from grothpoly import Polynomial, VariableUniverse, g_tableau, identities
+from grothpoly import (
+    Polynomial,
+    VariableUniverse,
+    enumerate_tableaux,
+    g_tableau,
+    identities,
+    poly_sum,
+    weight,
+)
 from cleared_reference import push_forward
 
 
@@ -54,6 +62,12 @@ def schur_oracle(shape: tuple[int, ...], n: int, universe: VariableUniverse) -> 
                 term = term * universe.x(v)
         out = out + term
     return out
+
+
+def tableau_stream_sum(shape, n: int, universe: VariableUniverse) -> Polynomial:
+    """G_lambda as the plain sum of tableau weights over the enumerator's
+    stream: every weight expanded on its own, then added."""
+    return poly_sum(universe, (weight(t, universe) for t in enumerate_tableaux(shape, n)))
 
 
 def perturbed_builder(shape, n: int, *, universe: VariableUniverse | None = None) -> Polynomial:

@@ -10,6 +10,7 @@ from grothpoly import (
     GrassmannianPermutation,
     InvalidShapeError,
     Partition,
+    UniverseMismatchError,
     VariableUniverse,
     default_universe,
     exact_div,
@@ -23,7 +24,7 @@ from grothpoly import (
     restrict,
     schur,
 )
-from helpers import random_polynomial, relabel, schur_oracle
+from helpers import random_polynomial, relabel, schur_oracle, tableau_stream_sum
 
 
 def three_term_expansion(U):
@@ -40,7 +41,62 @@ def test_g_tableau_two_one_expansion():
 
 def test_g_tableau_zero_and_empty():
     assert g_tableau((1, 1, 1), 2).is_zero
+    assert g_tableau((2, 2, 1), 2).is_zero
     assert g_tableau((), 3) == 1
+    assert g_tableau((), 1) == 1
+
+
+def test_g_tableau_matches_stream_sum():
+    # the transfer-matrix sum against the weights of the enumerated tableaux,
+    # in the default universe and in wider ones such as restrict and the
+    # GM/FNR cases pass
+    for lam in partitions_in_box(3, 3):
+        lam1 = lam.parts[0] if lam.parts else 0
+        for n in (1, 2, 3, 4):
+            if n == 4 and lam.size > 5:
+                continue
+            universes = [default_universe(lam, n)]
+            if n < 4:
+                universes.append(VariableUniverse(n + 1, n + lam1 + 2))
+            for U in universes:
+                assert g_tableau(lam, n, universe=U) == tableau_stream_sum(lam, n, U), (lam, n, U)
+
+
+def test_g_tableau_errors():
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        g_tableau((1,), 0)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        g_tableau((), 0)
+    # a universe without some x_t or y_{t+c} a tableau needs
+    for lam, n, U in [((2, 1), 3, VariableUniverse(2, 4)), ((2, 1), 2, VariableUniverse(2, 1))]:
+        with pytest.raises(UniverseMismatchError, match="weight needs x"):
+            g_tableau(lam, n, universe=U)
+        with pytest.raises(UniverseMismatchError, match="weight needs x"):
+            tableau_stream_sum(lam, n, U)
+
+
+def test_g_tableau_does_not_enumerate(monkeypatch):
+    import grothpoly.grothendieck as gr
+    import grothpoly.tableaux as tab
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("g_tableau must not expand tableaux one by one")
+
+    for module in (tab, gr):
+        for name in ("enumerate_tableaux", "weight"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    U = default_universe((2, 1), 3)
+    g = g_tableau((2, 1), 3)
+    monkeypatch.undo()
+    assert g == tableau_stream_sum((2, 1), 3, U)
+
+
+def test_g_tableau_matches_determinant_at_four_variables():
+    # beta-deformed builder-to-builder check where the profile is cut at
+    # the end of more than one row; divided differences through S_7 are
+    # left out for their cost
+    for lam in partitions_in_box(3, 3):
+        assert g_tableau(lam, 4) == g_determinant(lam, 4), lam
 
 
 def test_g_determinant_matches_tableau():
@@ -169,8 +225,6 @@ def test_pi_operator_idempotent_up_to_scalar():
 
 
 def test_pi_operator_bad_index():
-    from grothpoly import UniverseMismatchError
-
     U = VariableUniverse(2, 0)
     with pytest.raises(UniverseMismatchError):
         pi_operator(U.x(1), 2)
@@ -239,8 +293,6 @@ def test_restrict():
 
 
 def test_restrict_rejects_bad_subset():
-    from grothpoly import UniverseMismatchError
-
     U = VariableUniverse(2, 1)
     with pytest.raises(UniverseMismatchError):
         restrict(g_tableau, (1,), [3], U)
