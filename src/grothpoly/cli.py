@@ -17,6 +17,7 @@ additionally carries elapsed_ms, which naturally varies between runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -152,7 +153,11 @@ def cmd_suite(args) -> int:
     return 0 if n_pass == len(reports) else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one.  The
+    cmd_* functions it holds look up the builders and run_case when they run,
+    so a later rebinding of those names still takes effect."""
     parser = argparse.ArgumentParser(
         prog="grothpoly",
         description="factorial Grothendieck polynomials: exact computation and identity verification",

@@ -3,30 +3,33 @@
 Every identity here relates a factorial Grothendieck polynomial G_mu to a
 sum over k-subsets S of [n] of sigma_S(F) / prod_{i in S, j notin S}(x_i - x_j),
 where sigma_S relabels x_1..x_k onto x_S and x_{k+1}..x_n onto the
-complement of S, both in increasing order, and F is G_lam(x_1..x_k|y) times
-a product symmetric in x_1..x_k and in x_{k+1}..x_n:
+complement of S, both in increasing order, and F = A(x_1..x_k) B(x_{k+1}..x_n)
+is a product of two factors, each symmetric in its own block of x's:
 
-    GM:  F = G_lam(x_1..x_k|y) * prod_{j>k}(1+b x_j)^k
-    FNR: F = (-1)^{k(n-k)} G_lam(x_1..x_k|y) * prod_{i<=k}(1+b x_i)^{n-k}
-             * prod_{j>k}[x_j|y]^m
+    GM:  A = G_lam(x_1..x_k|y),  B = prod_{j>k}(1+b x_j)^k
+    FNR: A = (-1)^{k(n-k)} G_lam(x_1..x_k|y) prod_{i<=k}(1+b x_i)^{n-k},
+         B = prod_{j>k}[x_j|y]^m
 
 (the sign turns the FNR cross product (x_j - x_i) into (x_i - x_j)).  For
 such an F the subset sum is the divided difference d_v F, with v the
 longest minimal coset representative of S_n/(S_k x S_{n-k}): the Gysin
 formula of a Grassmannian bundle (Fulton-Pragacz, Schubert Varieties and
 Degeneracy Loci, LNM 1689).  V*d_v F, V = prod_{i<j}(x_i - x_j), is
-alternating; alternant_coords reads its alternant coordinates (Macdonald,
-Symmetric Functions, I.3) off F by a signed sort of each exponent vector,
-and a verdict compares those of V*G_mu and V*d_v F: no divided difference,
-no rational-function arithmetic and no sum over subsets.
+alternating, and a verdict compares its alternant coordinates (Macdonald,
+Symmetric Functions, I.3) with those of V*G_mu.  alternant_coords reads them
+from the block coordinates of A and of B, sorting each pair of exponent
+vectors with the sign of the sort: F is never formed, and there is no
+divided difference, no rational-function arithmetic and no sum over
+subsets.  At k = n, F is G_mu, its one factor.
 
 A builder is called as builder(shape, n, universe=U) and must build G in
 x_1..x_n of any U with U.n_x >= n; G_lam is built so, in the n-variable
 universe of G_mu.  G_lam(x|y) is symmetric in x, and the equality rests on
 it: a builder whose G_lam(x_1..x_k) fails k-1 adjacent swaps raises
 PreconditionViolatedError.  The coordinates determine only a symmetric
-polynomial, so every verdict with k < n checks G_mu by n-1 adjacent swaps
-and raises the same error when one fails.
+polynomial, so every verdict with k < n checks G_mu by n-1 adjacent swaps,
+each a lookup of every term's swapped key, and raises the same error when
+one fails.
 
 Reports count the terms of the cleared sides V*G_mu and V*d_v F: n! per
 alternant coordinate, from the coordinates the verdict compared.
@@ -183,19 +186,21 @@ def fast_check(
     return None
 
 
-def _subset_sum_at(F: Polynomial, n: int, k: int, point: RationalPoint) -> Fraction:
-    """sum_S sigma_S(F) / prod_{i in S, j notin S}(x_i - x_j) over the k-subsets S of [n]."""
+def _subset_sum_at(factors, n: int, k: int, point: RationalPoint) -> Fraction:
+    """sum_S sigma_S(F) / prod_{i in S, j notin S}(x_i - x_j) over the k-subsets S
+    of [n], F the product of the factors, each evaluated on its own."""
     xs, total = point.xs, Fraction(0)
     for S in combinations(range(n), k):
         rest = tuple(j for j in range(n) if j not in S)
         moved = replace(point, xs=tuple(xs[j] for j in S + rest) + xs[n:])
-        total += F.eval_rational(moved) / prod(xs[i] - xs[j] for i in S for j in rest)
+        value = prod(f.eval_rational(moved) for f in factors)
+        total += value / prod(xs[i] - xs[j] for i in S for j in rest)
     return total
 
 
 def _is_symmetric(p: Polynomial, k: int) -> bool:
     """Whether p is symmetric in x_1..x_k (k - 1 adjacent swaps)."""
-    return all(p.swap_x(i, i + 1) == p for i in range(1, k))
+    return all(p.is_symmetric_in(i, i + 1) for i in range(1, k))
 
 
 def _symmetric_g(builder, lam, universe: VariableUniverse) -> Polynomial:
@@ -210,20 +215,25 @@ def _symmetric_g(builder, lam, universe: VariableUniverse) -> Polynomial:
 
 
 def _finish(identity, params, universe, lhs, rhs, k, started, opts) -> IdentityReport:
-    """Compare the sides and report; with k None, as stated.  Else rhs is the F
-    of a subset sum over k-subsets of [n_x]: compare the alternant coordinates
-    of V*G_mu and V*d_v F, after n-1 adjacent swaps check G_mu when k < n; a
-    witness evaluates the sum itself."""
+    """Compare the sides and report; with k None, as stated.  Else rhs holds the
+    factors of the F of a subset sum over k-subsets of [n_x]: (A, B), A in
+    x_1..x_k and B in x_{k+1}..x_n, or (G_mu,) at k = n.  Compare the alternant
+    coordinates of V*G_mu with those of V*d_v F, read from the factors' block
+    coordinates without forming F, after n-1 adjacent swaps check G_mu when
+    k < n; a witness evaluates the sum itself, each factor at each point."""
     n, scale = universe.n_x, 1
-    lhs_at, rhs_at = lhs.eval_rational, rhs.eval_rational
-    if k is not None:
+    lhs_at = lhs.eval_rational
+    if k is None:
+        rhs_at = rhs.eval_rational
+    else:
         if k < n and not _is_symmetric(lhs, n):
             raise PreconditionViolatedError(
                 f"the builder's G_mu for {identity} is not symmetric in x_1..x_{n}"
             )
-        rhs_at = lambda pt, F=rhs: _subset_sum_at(F, n, k, pt)
-        coords = alternant_coords(rhs, n, k)
-        lhs = coords if lhs is rhs else alternant_coords(lhs, n)
+        rhs_at = lambda pt, factors=rhs: _subset_sum_at(factors, n, k, pt)
+        a, *b = rhs
+        coords = alternant_coords(a, n, k, *b)
+        lhs = coords if a is lhs and not b else alternant_coords(lhs, n)
         rhs, scale = coords, factorial(n)
     passed = lhs == rhs
     witness = None
@@ -258,7 +268,8 @@ def _one_plus_bx(universe: VariableUniverse, i: int) -> Polynomial:
 
 
 def _gm_sides(lam, n, builder):
-    """(universe, G_mu, F, k) with F = G_lam(x_1..x_k|y) prod_{j>k}(1+b x_j)^k."""
+    """(universe, G_mu, (A, B), k): F = A*B, A = G_lam(x_1..x_k|y) and
+    B = prod_{j>k}(1+b x_j)^k; (G_mu,) in place of (A, B) at k = n."""
     k = len(lam)
     if not 0 <= k <= n or n < 1:
         raise PreconditionViolatedError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -268,15 +279,15 @@ def _gm_sides(lam, n, builder):
     # the zero-padded columns of the determinant reach [x|y]^(n-k-1)
     U = VariableUniverse(n, max(lam1 + k - 1, n - k - 1 if zero_case else 0, 0))
     g = _symmetric_g(builder, lam, U)
-    if k == n:  # v is the identity and mu = lam: one build
-        return U, g, g, k
+    if k == n:  # v is the identity and mu = lam: one build, and F is G_mu
+        return U, g, (g,), k
     if zero_case:
         # no tableaux exist for a non-partition index: G is the determinant quotient
         lhs = g_determinant(shifted, n, universe=U)
     else:
         lhs = builder(shifted, n, universe=U)
     tail = poly_prod(U, (_one_plus_bx(U, j) ** k for j in range(k + 1, n + 1)))
-    return U, lhs, g * tail, k
+    return U, lhs, (g, tail), k
 
 
 def _gm_case(lam, n, builder):
@@ -330,8 +341,9 @@ def verify_louck_general(m: int, n: int, *, builder=g_tableau, **opts) -> Identi
 
 
 def _fnr_sides(lam, m, n, builder):
-    """(universe, G_mu, F, k) with F = (-1)^{k(n-k)} G_lam(x_1..x_k|y)
-    prod_{i<=k}(1+b x_i)^{n-k} prod_{j>k}[x_j|y]^m."""
+    """(universe, G_mu, (A, B), k): F = A*B, A = (-1)^{k(n-k)} G_lam(x_1..x_k|y)
+    prod_{i<=k}(1+b x_i)^{n-k} and B = prod_{j>k}[x_j|y]^m; (G_mu,) in place
+    of (A, B) at k = n."""
     k = len(lam)
     if not 0 <= k <= n or n < 1:
         raise PreconditionViolatedError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -343,14 +355,12 @@ def _fnr_sides(lam, m, n, builder):
         )
     U = VariableUniverse(n, max(m + n - k - 1, 0))
     g = _symmetric_g(builder, lam, U)
-    if k == n:  # v is the identity and mu = lam: one build
-        return U, g, g, k
+    if k == n:  # v is the identity and mu = lam: one build, and F is G_mu
+        return U, g, (g,), k
     lhs = builder((m - k,) * (n - k) + tuple(lam), n, universe=U)
     head = poly_prod(U, (_one_plus_bx(U, i) ** (n - k) for i in range(1, k + 1)))
     tail = poly_prod(U, (U.bracket_pow(j, m) for j in range(k + 1, n + 1)))
-    # the bracket product is by far the largest factor; multiply it last
-    F = ((-g if k * (n - k) % 2 else g) * head) * tail
-    return U, lhs, F, k
+    return U, lhs, ((-g if k * (n - k) % 2 else g) * head, tail), k
 
 
 def _fnr_case(lam, m, n, builder):
@@ -443,7 +453,7 @@ def _good_reciprocal_witness(n: int, trials: int, seed: int) -> RationalPoint | 
             pt = random_rational_point(U, rng, distinct_x=True)
             if all(pt.xs):
                 break
-        if _subset_sum_at(F, n, 1, pt) != 1:
+        if _subset_sum_at((F,), n, 1, pt) != 1:
             return pt
     return None
 
@@ -546,9 +556,9 @@ IDENTITY_TAGS = tuple(_IDENTITIES)
 
 
 def _case(identity: str, params: dict, builder):
-    """(report params, universe, lhs, rhs, k) of a tag's case; params
-    must name exactly the tag's parameters (and for classical_good,
-    optionally the trials and seed of its reciprocal form)."""
+    """(report params, universe, lhs, rhs, k) of a tag's case, rhs F's factors
+    when k is not None; params must name exactly the tag's parameters (and
+    for classical_good, optionally the trials and seed of its reciprocal form)."""
     entry = _IDENTITIES.get(identity)
     if entry is None:
         raise PreconditionViolatedError(f"unknown identity {identity!r}")
@@ -561,16 +571,18 @@ def _case(identity: str, params: dict, builder):
             flags = ", ".join("--" + name.replace("lam", "shape") for name in wrong)
             raise PreconditionViolatedError(f"{identity} {problem} {flags}")
     out, U, lhs, rhs, k = case(*(params[name] for name in names), builder)
-    if isinstance(entry, str):  # at k = n, rhs is lhs: specialize it once
-        lhs, rhs = [classical_image(lhs)] * 2 if rhs is lhs else map(classical_image, (lhs, rhs))
+    if isinstance(entry, str):  # at k = n F's one factor is lhs: specialize it once
+        image = classical_image(lhs)
+        rhs = tuple(image if f is lhs else classical_image(f) for f in rhs)
+        lhs = image
     return out, U, lhs, rhs, k
 
 
 def run_case(identity: str, params: dict, *, builder=g_tableau, **opts) -> IdentityReport:
     """Verify one case of a tag in IDENTITY_TAGS, with params as in the grids.
 
-    A classical tag is the beta = 0, y = 0 image of its general case: both
-    sides, G_mu and F, are specialized before they are compared and
+    A classical tag is the beta = 0, y = 0 image of its general case: G_mu
+    and each factor of F are specialized before they are compared and
     counted; d_v and V hold neither beta nor y, so the counts are those of
     the specialized cleared sides.  classical_good also checks the
     reciprocal form 1 = sum_i prod_{j != i} (1 - x_i/x_j)^{-1} at seeded

@@ -362,6 +362,22 @@ class Polynomial:
             out[k + ((b - a) << si) + ((a - b) << sj)] = c
         return Polynomial._make(U, out, self._degbound)
 
+    def is_symmetric_in(self, i: int, j: int) -> bool:
+        """Whether exchanging x_i and x_j leaves p unchanged (p.swap_x(i, j) == p).
+
+        The exchange is an involution on keys, so it does exactly when every
+        term's exchanged key carries the same coefficient: one lookup per
+        term, and no copy."""
+        U = self.universe
+        si = U._shifts[U._xpos(i)]
+        sj = U._shifts[U._xpos(j)]
+        step = (1 << si) - (1 << sj)  # moves one unit of x_j's exponent onto x_i
+        get = self._terms.get
+        for k, c in self._terms.items():
+            if get(k + (((k >> sj) & _EXP_MASK) - ((k >> si) & _EXP_MASK)) * step) != c:
+                return False
+        return True
+
     def divided_difference(self, i: int) -> Polynomial:
         """Newton divided difference (f - s_i f) / (x_i - x_{i+1}).
 
@@ -616,63 +632,93 @@ def poly_dot(
 
 
 @functools.lru_cache(maxsize=None)
-def _signed_staircases(universe: VariableUniverse, n: int, k: int) -> tuple:
-    """(sign(w), w(delta), the key of x^w(delta)) over the permutations w of
-    delta = (k-1, ..., 0, n-k-1, ..., 0) that keep both blocks of positions."""
+def _signed_staircases(universe: VariableUniverse, lo: int, hi: int) -> tuple:
+    """(sign(w), w(delta), the key of x_lo..x_hi^w(delta)) over the permutations w
+    of the staircase delta = (hi - lo, ..., 1, 0) of the block x_lo..x_hi."""
+    m = hi - lo + 1
     out = []
-    for w in permutations(range(n)):
-        if all(v < k for v in w[:k]):
-            sign = (-1) ** sum(w[a] > w[b] for a in range(n) for b in range(a + 1, n))
-            d = tuple((k if i < k else n) - 1 - v for i, v in enumerate(w))
-            key = sum(e << s for e, s in zip(d, universe._shifts[1:]))
-            out.append((sign, d, key + (sum(d) << universe._deg_shift)))
+    for w in permutations(range(m)):
+        sign = (-1) ** sum(w[a] > w[b] for a in range(m) for b in range(a + 1, m))
+        d = tuple(m - 1 - v for v in w)
+        key = sum(e << s for e, s in zip(d, universe._shifts[lo : hi + 1]))
+        out.append((sign, d, key + (sum(d) << universe._deg_shift)))
     return tuple(out)
 
 
-def alternant_coords(p: Polynomial, n: int, k: int | None = None) -> Polynomial:
-    """The terms of V * d_v p at strictly decreasing x_1..x_n exponents, for p
-    symmetric in x_1..x_k and in x_{k+1}..x_n (k = n when omitted): V is
-    prod_{i<j<=n}(x_i - x_j), d_v p = sum_S sigma_S(p / prod_{i<=k<j}(x_i - x_j)).
-
-    V * d_v p is alternating, so these terms, its alternant coordinates,
-    determine it, and it has n! times as many (Macdonald, Symmetric
-    Functions, I.3).  p's terms with x_1..x_n exponent a are added at each
-    c = a + w(delta), a signed staircase of the two block Vandermonde
-    products, strictly decreasing in both blocks; c is sorted with the sign
-    of the sort, or dropped when an entry repeats (the Laplace expansion
-    along the first k columns).  Nothing is multiplied."""
+def _block_coords(p: Polynomial, n: int, lo: int, hi: int) -> dict[tuple, dict[int, int]]:
+    """The terms of V_b * p, V_b = prod_{lo<=i<j<=hi}(x_i - x_j), at strictly
+    decreasing x_lo..x_hi exponents, grouped by those exponents, for p symmetric
+    in x_lo..x_hi and free of the other x's of x_1..x_n.  p's terms with block
+    exponent a are added at each a + w(delta), a signed staircase of V_b."""
     U = p.universe
+    block = U._shifts[lo : hi + 1]
+    heads = sum(_EXP_MASK << s for s in U._shifts[1 : n + 1])
+    others = heads - sum(_EXP_MASK << s for s in block)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for key, c in p._terms.items():
+        groups.setdefault(key & heads, []).append((key, c))
+    table = _signed_staircases(U, lo, hi)
+    out: dict[tuple, dict[int, int]] = {}
+    for head, group in groups.items():
+        if head & others:
+            raise ValueError(f"a factor of the block x{lo}..x{hi} holds another x of x1..x{n}")
+        a = [(head >> s) & _EXP_MASK for s in block]
+        for sign, d, delta in table:
+            c = tuple(u + v for u, v in zip(a, d))
+            if any(u <= v for u, v in zip(c, c[1:])):
+                continue
+            coords = out.setdefault(c, {})
+            get = coords.get
+            for key, coeff in group:
+                nk = key + delta
+                coords[nk] = get(nk, 0) + sign * coeff
+    out = {c: {key: v for key, v in coords.items() if v} for c, coords in out.items()}
+    return {c: coords for c, coords in out.items() if coords}
+
+
+def alternant_coords(
+    a: Polynomial, n: int, k: int | None = None, b: Polynomial | None = None
+) -> Polynomial:
+    """The terms of V * d_v(a*b) at strictly decreasing x_1..x_n exponents, for a
+    symmetric in x_1..x_k and free of x_{k+1}..x_n, and b symmetric in
+    x_{k+1}..x_n and free of x_1..x_k (k = n and b = 1 when omitted): V is
+    prod_{i<j<=n}(x_i - x_j) and d_v F = sum_S sigma_S(F / prod_{i<=k<j}(x_i - x_j)).
+
+    V * d_v F is alternating, so these terms, its alternant coordinates,
+    determine it, and it has n! times as many (Macdonald, Symmetric
+    Functions, I.3).  The blocks share no x, so the block coordinates of
+    V_k * V_{n-k} * a * b are the products of a's and b's: each pair of block
+    exponents (alpha, gamma) is sorted with the sign of the sort, or dropped
+    when an entry repeats (the Laplace expansion along the first k columns;
+    the Gysin formula of Fulton-Pragacz, LNM 1689).  F is never formed."""
+    U = a.universe
     k = n if k is None else k
+    b = U.one() if b is None else b
+    if b.universe != U:
+        raise UniverseMismatchError("factors live in different universes")
     if not 0 <= k <= n <= U.n_x:
         raise UniverseMismatchError(f"need 0 <= k <= n <= n_x={U.n_x}, got k={k}, n={n}")
     half = (k * (k - 1) + (n - k) * (n - k - 1)) // 2
-    if p._degbound + half > MAX_TOTAL_DEGREE and p.total_degree() + half > MAX_TOTAL_DEGREE:
+    bound = a._degbound + b._degbound + half
+    if bound > MAX_TOTAL_DEGREE and a.total_degree() + b.total_degree() + half > MAX_TOTAL_DEGREE:
         raise DegreeOverflowError(f"product degree exceeds capacity {MAX_TOTAL_DEGREE}")
     shifts = U._shifts[1 : n + 1]
-    mask = sum(_EXP_MASK << s for s in shifts)
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for key, c in p._terms.items():
-        groups.setdefault(key & mask, []).append((key, c))
-    falls = [i for i in range(n - 1) if i != k - 1]  # adjacent pairs inside a block
-    table = _signed_staircases(U, n, k)
+    right = _block_coords(b, n, k + 1, n)
     out: dict[int, int] = {}
     get = out.get
-    for head, group in groups.items():
-        a = [(head >> s) & _EXP_MASK for s in shifts]
-        for sign, d, delta in table:
-            if any(a[i] + d[i] <= a[i + 1] + d[i + 1] for i in falls):
+    for alpha, left in _block_coords(a, n, 1, k).items():
+        for gamma, rest in right.items():
+            c = alpha + gamma
+            if len(set(c)) < n:
                 continue
-            if 0 < k < n and a[k - 1] + d[k - 1] <= a[k] + d[k]:  # the blocks interleave
-                c = [u + v for u, v in zip(a, d)]
-                if len(set(c)) < n:
-                    continue
-                if sum(u < v for u in c[:k] for v in c[k:]) % 2:  # the sign of the sort
-                    sign = -sign
-                delta += sum((e - f) << s for e, f, s in zip(sorted(c, reverse=True), c, shifts))
-            for key, coeff in group:
-                nk = key + delta
-                out[nk] = get(nk, 0) + sign * coeff
-    return Polynomial._make(U, {key: c for key, c in out.items() if c}, p._degbound + half)
+            sign = -1 if sum(u < v for u in alpha for v in gamma) % 2 else 1
+            delta = sum((e - f) << s for e, f, s in zip(sorted(c, reverse=True), c, shifts))
+            for kb, cb in rest.items():
+                base, cb = kb + delta, sign * cb
+                for ka, ca in left.items():
+                    nk = ka + base
+                    out[nk] = get(nk, 0) + ca * cb
+    return Polynomial._make(U, {key: c for key, c in out.items() if c}, bound)
 
 
 def poly_prod(universe: VariableUniverse, polys: Iterable[Polynomial]) -> Polynomial:

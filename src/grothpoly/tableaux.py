@@ -69,9 +69,8 @@ class Partition:
     def __eq__(self, other):
         if isinstance(other, Partition):
             return self.parts == other.parts
-        if isinstance(other, tuple):  # equal up to trailing zeros, else unequal
-            k = len(self.parts)
-            return other[:k] == self.parts and not any(other[k:])
+        if isinstance(other, tuple):  # exactly the stripped parts, as __hash__ hashes
+            return other == self.parts
         return NotImplemented
 
     def __hash__(self):

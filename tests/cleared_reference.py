@@ -6,7 +6,7 @@ over k-subsets S of [n] of sign(S) * cofactor(S) * sigma_S(F), where
 V = sign(S) * cofactor(S) * cross(S) (clear_denominator_gm/_fnr).  Uncleared,
 it is the push-forward d_v F, taken here as k(n-k) Newton divided
 differences.  Neither shares code with alternant_coords, which the verifiers
-use to read the alternant coordinates of V * d_v F off F.
+use to read the alternant coordinates of V * d_v F off F's two factors.
 """
 
 from __future__ import annotations

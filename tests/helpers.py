@@ -16,6 +16,7 @@ from grothpoly import (
     enumerate_tableaux,
     g_tableau,
     identities,
+    poly_prod,
     poly_sum,
     weight,
 )
@@ -90,9 +91,10 @@ def relabel(universe: VariableUniverse, p: Polynomial, targets) -> Polynomial:
 
 def case_sides(identity: str, params: dict, builder=g_tableau) -> tuple[Polynomial, Polynomial]:
     """The two sides of a case, from the lookup run_case uses: for a subset
-    sum, G_mu and d_v F (through the reference push-forward)."""
+    sum, G_mu and d_v F, with F formed from its factors and pushed forward
+    by the reference."""
     _, U, lhs, rhs, k = identities._case(identity, params, builder)
-    return lhs, (rhs if k is None else push_forward(rhs, U.n_x, k))
+    return lhs, (rhs if k is None else push_forward(poly_prod(U, rhs), U.n_x, k))
 
 
 def cleared_sides(identity: str, params: dict, builder=g_tableau) -> tuple[Polynomial, Polynomial]:

@@ -150,6 +150,18 @@ def test_criterion_5_fnr_type_grid():
     assert elapsed < 300
 
 
+def test_criteria_4_and_5_spot_checks_at_n_5():
+    # two heavy n = 5 cases, with the cleared-side counts measured before the
+    # right side was read from F's factors
+    for identity, params, terms in [
+        ("gm_type", {"lam": [3, 3, 2, 1], "n": 5}, 1145040),
+        ("fnr_type", {"lam": [2, 1], "m": 4, "n": 5}, 184800),
+    ]:
+        rep = run_case(identity, params)
+        assert rep.passed, (identity, params)
+        assert (rep.lhs_terms, rep.rhs_terms) == (terms, terms), (identity, params)
+
+
 def test_criterion_6_corollaries():
     t0 = time.perf_counter()
     for n in range(1, 6):

@@ -16,6 +16,26 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_parser_is_built_once_and_reused(capsys):
+    # successive calls share one parser, and each prints what a fresh parser gives
+    calls = [
+        ["compute", "--shape", "2,1", "--n", "2", "--format", "json"],
+        ["verify", "gm_type", "--shape", "1", "--n", "2"],
+        ["tableaux", "--shape", "1", "--n", "2", "--format", "text"],
+    ]
+    for argv in calls:
+        args = cli.build_parser.__wrapped__().parse_args(argv)
+        fresh = (args.fn(args), capsys.readouterr().out)
+        assert run_cli(capsys, *argv)[:2] == fresh, argv
+    assert cli.build_parser() is cli.build_parser()
+    # a bad argument still exits 2 on a later call, and the next call still parses
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "gm_type", "--n", "two"])
+    assert exc.value.code == 2 and "invalid int value" in capsys.readouterr().err
+    assert run_cli(capsys, "compute", "--shape", "1,2", "--n", "2")[0] == 2
+    assert run_cli(capsys, *calls[1])[0] == 0
+
+
 def test_compute_all_methods_agree(capsys):
     code, out, _ = run_cli(capsys, "compute", "--shape", "2,1", "--n", "2", "--method", "all")
     assert code == 0

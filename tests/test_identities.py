@@ -27,7 +27,9 @@ from grothpoly import (
     verify_louck_general,
     verify_vandermonde_lemma,
 )
-from grothpoly import alternant_coords, g_tableau, identities, poly_sum
+from grothpoly import alternant_coords, g_tableau, identities, poly_prod, poly_sum
+from grothpoly import grothendieck as grothendieck_module
+from grothpoly import poly as poly_module
 from grothpoly.identities import grid_corollaries, grid_fnr_type, grid_gm_type
 from cleared_reference import cross_product, fnr_cleared_term, gm_cleared_term, push_forward
 from helpers import (
@@ -142,8 +144,7 @@ def _block_symmetrized(universe, p, k):
 
 
 def test_push_forward_is_the_cleared_subset_sum():
-    # V * d_v F == sum_S sign(S) cofactor(S) sigma_S(F) for block-symmetric F,
-    # and alternant_coords(F, n, k) are its strictly decreasing terms
+    # V * d_v F == sum_S sign(S) cofactor(S) sigma_S(F) for block-symmetric F
     rng = random.Random(7)
     for n in range(1, 5):
         U = VariableUniverse(n, 1)
@@ -158,18 +159,41 @@ def test_push_forward_is_the_cleared_subset_sum():
                     rest = tuple(j for j in range(1, n + 1) if j not in S)
                     cleared = cleared + sign * cof * relabel(U, F, S + rest)
                 assert V * push_forward(F, n, k) == cleared, (n, k)
-                assert alternant_coords(F, n, k) == decreasing_terms(cleared, n), (n, k)
+
+
+def _block_factor(universe, rng, lo, hi):
+    """A random polynomial in x_lo..x_hi, b and the y's, symmetrized over x_lo..x_hi."""
+    m = hi - lo + 1
+    p = random_polynomial(VariableUniverse(m, universe.n_y), rng, max_terms=3, nonzero=True)
+    targets = ([lo + v for v in w] for w in permutations(range(m)))
+    return poly_sum(universe, (relabel(universe, p, w) for w in targets))
+
+
+def test_alternant_coords_of_block_factors():
+    # the coordinates read from A's and B's block coordinates are the strictly
+    # decreasing terms of V * d_v(A*B), with A*B formed and pushed forward
+    rng = random.Random(7)
+    for n in range(5):
+        U = VariableUniverse(n, 1)
+        V = U.vandermonde(range(1, n + 1))
+        for k in range(n + 1):
+            for _ in range(4):
+                a = _block_factor(U, rng, 1, k)
+                b = _block_factor(U, rng, k + 1, n)
+                want = decreasing_terms(V * push_forward(a * b, n, k), n)
+                assert alternant_coords(a, n, k, b) == want, (n, k)
 
 
 @pytest.mark.parametrize("builder", [g_tableau, perturbed_builder])
 def test_alternant_coords_of_both_sides_on_the_grid(builder):
-    # what _finish compares, against the reference push-forward times V
+    # what _finish compares, against the reference push-forward of F = A*B times V
     for identity, params in _SUBSET_SUM_CASES:
-        _, U, lhs, F, k = identities._case(identity, params, builder)
+        _, U, lhs, factors, k = identities._case(identity, params, builder)
         n = U.n_x
         V = U.vandermonde(range(1, n + 1))
-        want = decreasing_terms(V * push_forward(F, n, k), n)
-        assert alternant_coords(F, n, k) == want, (identity, params)
+        want = decreasing_terms(V * push_forward(poly_prod(U, factors), n, k), n)
+        a, *b = factors
+        assert alternant_coords(a, n, k, *b) == want, (identity, params)
         assert alternant_coords(lhs, n) == decreasing_terms(V * lhs, n), (identity, params)
 
 
@@ -217,8 +241,8 @@ def test_g_mu_symmetry_is_checked_on_passing_coordinates():
         ("gm_type", {"lam": [1], "n": 2}),
         ("fnr_type", {"lam": [1], "m": 3, "n": 3}),
     ]:
-        _, U, lhs, F, k = identities._case(identity, params, _square_xn_builder)
-        assert alternant_coords(lhs, U.n_x) == alternant_coords(F, U.n_x, k), identity
+        _, U, lhs, (a, b), k = identities._case(identity, params, _square_xn_builder)
+        assert alternant_coords(lhs, U.n_x) == alternant_coords(a, U.n_x, k, b), identity
         with pytest.raises(PreconditionViolatedError) as exc:
             run_case(identity, params, builder=_square_xn_builder)
         message = f"the builder's G_mu for {identity} is not symmetric"
@@ -251,6 +275,37 @@ def test_k_equal_n_builds_g_once():
         calls.clear()
         assert verify(*args, builder=recording).passed
         assert calls == builds, verify.__name__
+
+
+def test_verdicts_below_k_equal_n_never_form_f(monkeypatch):
+    # F = A*B has 89,268 terms at fnr_type lam=(1) m=4 n=4; the verdict reads
+    # its coordinates from A and B, and no product it takes comes near F
+    params = {"lam": [1], "m": 4, "n": 4}
+    _, U, _, factors, _ = identities._case("fnr_type", params, g_tableau)
+    assert poly_prod(U, factors).num_terms == 89268
+    sizes = []
+    poly_dot = poly_module.poly_dot
+
+    def recording(universe, pairs):
+        out = poly_dot(universe, pairs)
+        sizes.append(out.num_terms)
+        return out
+
+    # __mul__ and __pow__ multiply through poly.poly_dot, builders through their own binding
+    for module in (poly_module, grothendieck_module):
+        monkeypatch.setattr(module, "poly_dot", recording)
+    assert run_case("fnr_type", params).passed
+    assert sizes and max(sizes) < 89268
+
+
+def test_symmetry_guard_rejects_a_g_mu_failing_only_the_last_swap():
+    # symmetric in x_1..x_{n-1}, not under s_{n-1}: the guard's last lookup catches it
+    for n in range(2, 5):
+        U = VariableUniverse(n, 1)
+        p = poly_prod(U, (U.circle_plus(i, 1) for i in range(1, n)))
+        assert identities._is_symmetric(p, n - 1)
+        assert not identities._is_symmetric(p, n)
+        assert all(p.swap_x(i, i + 1) == p for i in range(1, n - 1))
 
 
 # -- Gustafson-Milne family ---------------------------------------------------
@@ -484,9 +539,9 @@ def test_classical_tags_count_only_specialized_sides(monkeypatch):
     # keeps b or a y, and no beta-deformed report is built on the way
     counted = []
 
-    def recording(p, n, k=None):
-        counted.append(p)
-        return alternant_coords(p, n, k)
+    def recording(a, n, k=None, b=None):
+        counted.extend(p for p in (a, b) if p is not None)
+        return alternant_coords(a, n, k, b)
 
     monkeypatch.setattr(identities, "alternant_coords", recording)
     for identity, params in [
@@ -505,8 +560,8 @@ def test_classical_tags_count_only_specialized_sides(monkeypatch):
 
 
 def test_classical_k_equal_n_specializes_once(monkeypatch):
-    # at k = n the two sides are one polynomial: one specialization, one set
-    # of coordinates
+    # at k = n the two sides are one polynomial, F's one factor: one
+    # specialization, one set of coordinates
     images, counted = [], []
     classical_image = identities.classical_image
 
@@ -514,9 +569,9 @@ def test_classical_k_equal_n_specializes_once(monkeypatch):
         images.append(p)
         return classical_image(p)
 
-    def recording_coords(p, n, k=None):
-        counted.append(p)
-        return alternant_coords(p, n, k)
+    def recording_coords(a, n, k=None, b=None):
+        counted.append((a, b))
+        return alternant_coords(a, n, k, b)
 
     monkeypatch.setattr(identities, "classical_image", recording_image)
     monkeypatch.setattr(identities, "alternant_coords", recording_coords)
@@ -524,7 +579,7 @@ def test_classical_k_equal_n_specializes_once(monkeypatch):
     assert len(images) == 1 and len(counted) == 1
     images.clear()
     assert run_case("classical_fnr", {"lam": [1], "m": 3, "n": 3}).passed
-    assert len(images) == 2  # below k = n, G_mu and F
+    assert len(images) == 3  # below k = n, G_mu and F's two factors
 
 
 def test_classical_louck_value():

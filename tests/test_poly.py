@@ -387,20 +387,31 @@ def test_alternant_coords_hand_cases():
     two = VariableUniverse(2, 1)
     assert alternant_coords(two.one(), 2) == two.x(1)  # x1 - x2
     assert alternant_coords(two.x(1) + two.x(2), 2) == two.x(1) ** 2  # x1^2 - x2^2
-    # k = 1: d_1 x1 = 1 and d_1 1 = 0; d_1 x1^2 = x1 + x2 and d_1 x2^2 = -(x1 + x2)
+    # k = 1, F = a(x1) b(x2): d_1 x1 = 1 and d_1 1 = 0; d_1 x1^2 = x1 + x2 and
+    # d_1 x2^2 = -(x1 + x2)
     assert alternant_coords(two.x(1), 2, 1) == two.x(1)
     assert alternant_coords(two.one(), 2, 1).is_zero
     assert alternant_coords(two.x(1) ** 2, 2, 1) == two.x(1) ** 2
-    assert alternant_coords(two.x(2) ** 2, 2, 1) == -two.x(1) ** 2
+    assert alternant_coords(two.one(), 2, 1, two.x(2) ** 2) == -two.x(1) ** 2
+    # d_1(x1 x2) = 0 (the pair (1, 1) repeats); d_1(x1^2 x2) = x1 x2, and
+    # d_1(x1 x2^2) = -x1 x2 (the pair (1, 2) sorts with a sign)
+    assert alternant_coords(two.x(1), 2, 1, two.x(2)).is_zero
+    assert alternant_coords(two.x(1) ** 2, 2, 1, two.x(2)) == two.x(1) ** 2 * two.x(2)
+    assert alternant_coords(two.x(1), 2, 1, two.x(2) ** 2) == -two.x(1) ** 2 * two.x(2)
+    # b's coefficients multiply a's: d_1((1 + b x1) y1) = b y1
+    a = two.one() + two.beta() * two.x(1)
+    assert alternant_coords(a, 2, 1, two.y(1)) == two.beta() * two.x(1) * two.y(1)
     # n = 1 and n = 0: the Vandermonde product is 1 and d_v the identity
     one = VariableUniverse(1, 2)
     p = one.circle_plus(1, 2) * one.circle_plus(1, 1)
-    for n, k in [(1, 1), (1, 0), (0, 0)]:
-        assert alternant_coords(p, n, k) == p
+    assert alternant_coords(p, 1, 1) == p
+    assert alternant_coords(one.one(), 1, 0, p) == p
+    assert alternant_coords(p, 0, 0) == p  # x1 lies outside both blocks
     assert alternant_coords(VariableUniverse(0, 2).y(1), 0) == VariableUniverse(0, 2).y(1)
     for universe, n in [(two, 2), (one, 1), (U, 3), (U, 0)]:
         for k in range(n + 1):
             assert alternant_coords(universe.zero(), n, k).is_zero
+            assert alternant_coords(universe.one(), n, k, universe.zero()).is_zero
 
 
 def test_alternant_coords_equal_the_product_counts():
@@ -436,14 +447,23 @@ def test_alternant_coords_rejects_bad_counts_and_overflow():
         with pytest.raises(UniverseMismatchError):
             alternant_coords(U.x(1), n, k)
     two = VariableUniverse(2, 0)
+    with pytest.raises(UniverseMismatchError):
+        alternant_coords(U.one(), 2, 1, two.x(2))
+    # each factor lives in its own block of x_1..x_n
+    for a, b in [(two.x(2), None), (two.one(), two.x(1)), (two.x(1) * two.x(2), None)]:
+        with pytest.raises(ValueError, match="holds another x"):
+            alternant_coords(a, 2, 1, b)
     p = two.x(1) ** 255 + two.x(2) ** 255
     with pytest.raises(DegreeOverflowError):
         p * two.vandermonde([1, 2])
     with pytest.raises(DegreeOverflowError):
         alternant_coords(p, 2)
     # at k = 1 the block Vandermonde products are 1: nothing overflows
-    assert alternant_coords(p, 2, 1).is_zero
     assert alternant_coords(two.x(1) ** 255, 2, 1) == two.x(1) ** 255
+    assert alternant_coords(two.one(), 2, 1, two.x(2) ** 255) == -two.x(1) ** 255
+    # the factors' degrees add: each fits, their product does not
+    with pytest.raises(DegreeOverflowError):
+        alternant_coords(two.x(1) ** 200, 2, 1, two.x(2) ** 100)
 
 
 def test_str_rendering():
@@ -508,6 +528,20 @@ def test_swap_and_divided_difference():
         g = random_polynomial(U, rng)
         anti = g - g.swap_x(1, 2)
         assert g.divided_difference(1) == exact_div(anti, U.x(1) - U.x(2))
+
+
+def test_is_symmetric_in_agrees_with_swap_and_compare():
+    rng = random.Random(12)
+    four = VariableUniverse(4, 1)
+    for _ in range(30):
+        p = random_polynomial(four, rng, max_terms=4)
+        sym = _symmetrized(four, p, 4)
+        for q in (p, p + p.swap_x(1, 2), sym, sym + four.beta() * four.x(4), sym + p):
+            for i, j in [(1, 2), (2, 3), (3, 4), (1, 4), (2, 2)]:
+                assert q.is_symmetric_in(i, j) == (q.swap_x(i, j) == q), (str(q), i, j)
+        assert sym.is_symmetric_in(1, 2) and sym.is_symmetric_in(3, 4)
+    with pytest.raises(UniverseMismatchError):
+        four.one().is_symmetric_in(4, 5)
 
 
 def test_rational_point_distinct_x():

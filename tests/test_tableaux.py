@@ -35,10 +35,14 @@ def test_partition_rejects_bad_input():
         Partition((2, -1))
 
 
-def test_partition_equals_tuples_up_to_trailing_zeros():
+def test_partition_equals_only_its_stripped_tuple():
     assert Partition((2, 1)) == (2, 1) == Partition((2, 1))
-    assert Partition((2, 1)) == (2, 1, 0, 0)
-    assert Partition(()) == (0,)
+    assert Partition((2, 1, 0)) == (2, 1) == Partition((2, 1, 0))
+    # a tuple with trailing zeros hashes apart, so it compares unequal too
+    assert Partition((2, 1)) != (2, 1, 0, 0)
+    assert Partition(()) != (0,) and Partition(()) == ()
+    for p, t in [((2, 1), (2, 1)), ((2, 1), (2, 1, 0)), ((), ()), ((), (0,)), ((3,), (3, 0))]:
+        assert (t in {Partition(p)}) == (Partition(p) == t) == (Partition(p) in {t}), (p, t)
     # a tuple that is not a partition compares unequal instead of raising
     assert Partition((2, 1)) != (1, 2)
     assert Partition((2, 1)) != (2, 1, -1)
