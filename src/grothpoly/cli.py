@@ -7,8 +7,8 @@ Subcommands:
 * ``verify``   -- run one identity verifier, exit 0 pass / 1 fail / 2 bad params
 * ``suite``    -- run the whole default verification grid
 
-``--fast-trials N`` searches N seeded points for a witness when the compared
-sides differ; it never changes a verdict.  Unknown parameters exit 2.
+``--fast-trials N`` searches N >= 0 seeded points for a witness when the
+compared sides differ; it never changes a verdict.  Unknown parameters exit 2.
 
 Text output is byte-stable for identical arguments and seed; JSON output
 additionally carries elapsed_ms, which naturally varies between runs.
@@ -48,6 +48,12 @@ def _parse_shape(text: str) -> tuple[int, ...]:
             f"shape {parts} must be weakly decreasing and nonnegative"
         )
     return parts
+
+
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -191,14 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--k", type=int, default=None)
     v.add_argument("--m", type=int, default=None)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--fast-trials", type=int, default=0)
+    v.add_argument("--fast-trials", type=_nonnegative_int, default=0)
     v.add_argument("--format", choices=["text", "json"], default="text")
     v.add_argument("--out", default=None)
     v.set_defaults(fn=cmd_verify)
 
     s = sub.add_parser("suite", help="run the full verification grid")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--fast-trials", type=int, default=0)
+    s.add_argument("--fast-trials", type=_nonnegative_int, default=0)
     s.add_argument("--format", choices=["text", "json"], default="text")
     s.add_argument("--out", default=None)
     s.set_defaults(fn=cmd_suite)

@@ -25,11 +25,11 @@ subsets.  At k = n, F is G_mu, its one factor.
 A builder is called as builder(shape, n, universe=U) and must build G in
 x_1..x_n of any U with U.n_x >= n; G_lam is built so, in the n-variable
 universe of G_mu.  G_lam(x|y) is symmetric in x, and the equality rests on
-it: a builder whose G_lam(x_1..x_k) fails k-1 adjacent swaps raises
-PreconditionViolatedError.  The coordinates determine only a symmetric
-polynomial, so every verdict with k < n checks G_mu by n-1 adjacent swaps,
-each a lookup of every term's swapped key, and raises the same error when
-one fails.
+it: the coordinates determine only a symmetric polynomial.  alternant_coords
+checks each factor's symmetry in its block in the same pass that reads its
+coordinates (each term's group against that of its sorted x-exponents, and
+every orbit complete), and a verdict whose A, or G_mu, is not symmetric
+raises PreconditionViolatedError naming G_lam, or G_mu, and its block.
 
 Reports count the terms of the cleared sides V*G_mu and V*d_v F: n! per
 alternant coordinate, from the coordinates the verdict compared.
@@ -65,6 +65,7 @@ from .grothendieck import (
     restrict,
 )
 from .poly import (
+    NotSymmetricError,
     Polynomial,
     RationalPoint,
     VariableUniverse,
@@ -198,42 +199,30 @@ def _subset_sum_at(factors, n: int, k: int, point: RationalPoint) -> Fraction:
     return total
 
 
-def _is_symmetric(p: Polynomial, k: int) -> bool:
-    """Whether p is symmetric in x_1..x_k (k - 1 adjacent swaps)."""
-    return all(p.is_symmetric_in(i, i + 1) for i in range(1, k))
-
-
-def _symmetric_g(builder, lam, universe: VariableUniverse) -> Polynomial:
-    """G_lam(x_1..x_k|y) from the builder, which must be symmetric in x_1..x_k."""
-    k = len(lam)
-    g = restrict(builder, Partition(lam), range(1, k + 1), universe)
-    if not _is_symmetric(g, k):
-        raise PreconditionViolatedError(
-            f"the builder's G_lam for lam={list(lam)} is not symmetric in x_1..x_{k}"
-        )
-    return g
-
-
 def _finish(identity, params, universe, lhs, rhs, k, started, opts) -> IdentityReport:
     """Compare the sides and report; with k None, as stated.  Else rhs holds the
     factors of the F of a subset sum over k-subsets of [n_x]: (A, B), A in
     x_1..x_k and B in x_{k+1}..x_n, or (G_mu,) at k = n.  Compare the alternant
-    coordinates of V*G_mu with those of V*d_v F, read from the factors' block
-    coordinates without forming F, after n-1 adjacent swaps check G_mu when
-    k < n; a witness evaluates the sum itself, each factor at each point."""
+    coordinates of V*d_v F, read from the factors' block coordinates without
+    forming F, with those of V*G_mu; the kernel checks each factor's symmetry
+    as it reads it, F's first, and a failure raises PreconditionViolatedError.
+    A witness evaluates the sum itself, each factor at each point."""
     n, scale = universe.n_x, 1
     lhs_at = lhs.eval_rational
     if k is None:
         rhs_at = rhs.eval_rational
     else:
-        if k < n and not _is_symmetric(lhs, n):
-            raise PreconditionViolatedError(
-                f"the builder's G_mu for {identity} is not symmetric in x_1..x_{n}"
-            )
         rhs_at = lambda pt, factors=rhs: _subset_sum_at(factors, n, k, pt)
         a, *b = rhs
-        coords = alternant_coords(a, n, k, *b)
-        lhs = coords if a is lhs and not b else alternant_coords(lhs, n)
+        side, j = "G_lam", k
+        try:
+            coords = alternant_coords(a, n, k, *b)
+            side, j = "G_mu", n
+            lhs = coords if a is lhs and not b else alternant_coords(lhs, n)
+        except NotSymmetricError:
+            raise PreconditionViolatedError(
+                f"the builder's {side} for {identity} is not symmetric in x_1..x_{j}"
+            ) from None
         rhs, scale = coords, factorial(n)
     passed = lhs == rhs
     witness = None
@@ -278,7 +267,7 @@ def _gm_sides(lam, n, builder):
     zero_case = bool(k) and shifted[-1] < 0
     # the zero-padded columns of the determinant reach [x|y]^(n-k-1)
     U = VariableUniverse(n, max(lam1 + k - 1, n - k - 1 if zero_case else 0, 0))
-    g = _symmetric_g(builder, lam, U)
+    g = restrict(builder, Partition(lam), range(1, k + 1), U)
     if k == n:  # v is the identity and mu = lam: one build, and F is G_mu
         return U, g, (g,), k
     if zero_case:
@@ -354,7 +343,7 @@ def _fnr_sides(lam, m, n, builder):
             f"identity asserted only for lam_1 <= m-k (got lam_1={lam[0]}, m-k={m - k})"
         )
     U = VariableUniverse(n, max(m + n - k - 1, 0))
-    g = _symmetric_g(builder, lam, U)
+    g = restrict(builder, Partition(lam), range(1, k + 1), U)
     if k == n:  # v is the identity and mu = lam: one build, and F is G_mu
         return U, g, (g,), k
     lhs = builder((m - k,) * (n - k) + tuple(lam), n, universe=U)

@@ -20,12 +20,10 @@ degree bound (255) is enforced on mul/pow and raises DegreeOverflowError.
 
 from __future__ import annotations
 
-import functools
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
-from math import prod
+from math import factorial, prod
 from typing import Iterable, Mapping
 
 _EXP_BITS = 8
@@ -39,6 +37,10 @@ class UniverseMismatchError(ValueError):
 
 class NotDivisibleError(ArithmeticError):
     """Division left a nonzero remainder; the quotient does not exist in Z[x,y,b]."""
+
+
+class NotSymmetricError(ValueError):
+    """A factor whose alternant coordinates are asked for is not symmetric in its block."""
 
 
 class DegreeOverflowError(OverflowError):
@@ -362,22 +364,6 @@ class Polynomial:
             out[k + ((b - a) << si) + ((a - b) << sj)] = c
         return Polynomial._make(U, out, self._degbound)
 
-    def is_symmetric_in(self, i: int, j: int) -> bool:
-        """Whether exchanging x_i and x_j leaves p unchanged (p.swap_x(i, j) == p).
-
-        The exchange is an involution on keys, so it does exactly when every
-        term's exchanged key carries the same coefficient: one lookup per
-        term, and no copy."""
-        U = self.universe
-        si = U._shifts[U._xpos(i)]
-        sj = U._shifts[U._xpos(j)]
-        step = (1 << si) - (1 << sj)  # moves one unit of x_j's exponent onto x_i
-        get = self._terms.get
-        for k, c in self._terms.items():
-            if get(k + (((k >> sj) & _EXP_MASK) - ((k >> si) & _EXP_MASK)) * step) != c:
-                return False
-        return True
-
     def divided_difference(self, i: int) -> Polynomial:
         """Newton divided difference (f - s_i f) / (x_i - x_{i+1}).
 
@@ -631,47 +617,50 @@ def poly_dot(
     return Polynomial._make(universe, {k: c for k, c in out.items() if c}, bound)
 
 
-@functools.lru_cache(maxsize=None)
-def _signed_staircases(universe: VariableUniverse, lo: int, hi: int) -> tuple:
-    """(sign(w), w(delta), the key of x_lo..x_hi^w(delta)) over the permutations w
-    of the staircase delta = (hi - lo, ..., 1, 0) of the block x_lo..x_hi."""
-    m = hi - lo + 1
-    out = []
-    for w in permutations(range(m)):
-        sign = (-1) ** sum(w[a] > w[b] for a in range(m) for b in range(a + 1, m))
-        d = tuple(m - 1 - v for v in w)
-        key = sum(e << s for e, s in zip(d, universe._shifts[lo : hi + 1]))
-        out.append((sign, d, key + (sum(d) << universe._deg_shift)))
-    return tuple(out)
-
-
 def _block_coords(p: Polynomial, n: int, lo: int, hi: int) -> dict[tuple, dict[int, int]]:
     """The terms of V_b * p, V_b = prod_{lo<=i<j<=hi}(x_i - x_j), at strictly
-    decreasing x_lo..x_hi exponents, grouped by those exponents, for p symmetric
-    in x_lo..x_hi and free of the other x's of x_1..x_n.  p's terms with block
-    exponent a are added at each a + w(delta), a signed staircase of V_b."""
+    decreasing x_lo..x_hi exponents, grouped by those exponents, for p free of
+    the other x's of x_1..x_n; raises NotSymmetricError unless p is symmetric
+    in x_lo..x_hi.  p's terms are grouped by their block exponent h, the head:
+    p is symmetric when each group equals that of its sorted head and every
+    orbit of heads is complete.  Then V_b * p is the antisymmetrization of
+    x^delta * p, and each head h adds its group at the sort of h + delta, with
+    the sign of the sort, or nowhere when an entry repeats."""
     U = p.universe
     block = U._shifts[lo : hi + 1]
+    m = len(block)
     heads = sum(_EXP_MASK << s for s in U._shifts[1 : n + 1])
     others = heads - sum(_EXP_MASK << s for s in block)
-    groups: dict[int, list[tuple[int, int]]] = {}
+    groups: dict[int, dict[int, int]] = {}
     for key, c in p._terms.items():
-        groups.setdefault(key & heads, []).append((key, c))
-    table = _signed_staircases(U, lo, hi)
+        head = key & heads
+        groups.setdefault(head, {})[key - head] = c
+    if any(head & others for head in groups):
+        raise ValueError(f"a factor of the block x{lo}..x{hi} holds another x of x1..x{n}")
+    asymmetric = f"a factor is not symmetric in x{lo}..x{hi}"
+    half = m * (m - 1) // 2 << U._deg_shift  # the degree of delta
+    missing: dict[int, int] = {}  # sorted head -> heads of its orbit not yet seen
     out: dict[tuple, dict[int, int]] = {}
     for head, group in groups.items():
-        if head & others:
-            raise ValueError(f"a factor of the block x{lo}..x{hi} holds another x of x1..x{n}")
         a = [(head >> s) & _EXP_MASK for s in block]
-        for sign, d, delta in table:
-            c = tuple(u + v for u, v in zip(a, d))
-            if any(u <= v for u, v in zip(c, c[1:])):
-                continue
-            coords = out.setdefault(c, {})
-            get = coords.get
-            for key, coeff in group:
-                nk = key + delta
-                coords[nk] = get(nk, 0) + sign * coeff
+        top = sum(e << s for e, s in zip(sorted(a, reverse=True), block))
+        if top != head and groups.get(top) != group:
+            raise NotSymmetricError(asymmetric)
+        size = factorial(m) // prod(factorial(a.count(e)) for e in set(a))
+        missing[top] = missing.get(top, size) - 1
+        c = [e + m - 1 - i for i, e in enumerate(a)]
+        if len(set(c)) < m:
+            continue
+        sign = -1 if sum(u < v for i, u in enumerate(c) for v in c[i + 1 :]) % 2 else 1
+        c = tuple(sorted(c, reverse=True))
+        shift = sum(e << s for e, s in zip(c, block)) + half
+        coords = out.setdefault(c, {})
+        get = coords.get
+        for rest, coeff in group.items():
+            nk = rest + shift
+            coords[nk] = get(nk, 0) + sign * coeff
+    if any(missing.values()):
+        raise NotSymmetricError(asymmetric)
     out = {c: {key: v for key, v in coords.items() if v} for c, coords in out.items()}
     return {c: coords for c, coords in out.items() if coords}
 
@@ -690,7 +679,12 @@ def alternant_coords(
     V_k * V_{n-k} * a * b are the products of a's and b's: each pair of block
     exponents (alpha, gamma) is sorted with the sign of the sort, or dropped
     when an entry repeats (the Laplace expansion along the first k columns;
-    the Gysin formula of Fulton-Pragacz, LNM 1689).  F is never formed."""
+    the Gysin formula of Fulton-Pragacz, LNM 1689).  F is never formed.
+
+    The coordinates determine only a symmetric a*b, and each factor's block
+    coordinates check that it is symmetric in its block in the same pass
+    over its terms: NotSymmetricError names the first block, a's first, that
+    fails."""
     U = a.universe
     k = n if k is None else k
     b = U.one() if b is None else b
@@ -703,10 +697,11 @@ def alternant_coords(
     if bound > MAX_TOTAL_DEGREE and a.total_degree() + b.total_degree() + half > MAX_TOTAL_DEGREE:
         raise DegreeOverflowError(f"product degree exceeds capacity {MAX_TOTAL_DEGREE}")
     shifts = U._shifts[1 : n + 1]
+    left = _block_coords(a, n, 1, k)
     right = _block_coords(b, n, k + 1, n)
     out: dict[int, int] = {}
     get = out.get
-    for alpha, left in _block_coords(a, n, 1, k).items():
+    for alpha, part in left.items():
         for gamma, rest in right.items():
             c = alpha + gamma
             if len(set(c)) < n:
@@ -715,7 +710,7 @@ def alternant_coords(
             delta = sum((e - f) << s for e, f, s in zip(sorted(c, reverse=True), c, shifts))
             for kb, cb in rest.items():
                 base, cb = kb + delta, sign * cb
-                for ka, ca in left.items():
+                for ka, ca in part.items():
                     nk = ka + base
                     out[nk] = get(nk, 0) + ca * cb
     return Polynomial._make(U, {key: c for key, c in out.items() if c}, bound)

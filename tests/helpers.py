@@ -8,7 +8,7 @@ elementary-symmetric oracles build monomial dicts directly.
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 from grothpoly import (
     Polynomial,
@@ -81,6 +81,14 @@ def skewed_builder(shape, n: int, *, universe: VariableUniverse | None = None) -
     """G_lambda + beta*x_1: a wrong builder whose G is not symmetric."""
     g = g_tableau(shape, n, universe=universe)
     return g + g.universe.beta() * g.universe.x(1)
+
+
+def block_factor(universe: VariableUniverse, rng: random.Random, lo: int, hi: int) -> Polynomial:
+    """A random polynomial in x_lo..x_hi, b and the y's, symmetrized over x_lo..x_hi."""
+    m = hi - lo + 1
+    p = random_polynomial(VariableUniverse(m, universe.n_y), rng, max_terms=3, nonzero=True)
+    targets = ([lo + v for v in w] for w in permutations(range(m)))
+    return poly_sum(universe, (relabel(universe, p, w) for w in targets))
 
 
 def relabel(universe: VariableUniverse, p: Polynomial, targets) -> Polynomial:

@@ -301,3 +301,14 @@ def test_sampling_only_flag_is_rejected(monkeypatch, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         cli.main([*argv, "--fast-only"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [("verify", "good_general", "--n", "3"), ("suite",)])
+def test_negative_fast_trials_exit_2(monkeypatch, capsys, argv):
+    # a negative count is rejected, not read as 0; 0 itself stays valid
+    monkeypatch.setattr(identities, "suite_cases", lambda seed=0: [("good_general", {"n": 2})])
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--fast-trials", "-1"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "--fast-trials: expected a nonnegative integer" in err
+    assert run_cli(capsys, *argv, "--fast-trials", "0")[0] == 0

@@ -31,8 +31,10 @@ from grothpoly import alternant_coords, g_tableau, identities, poly_prod, poly_s
 from grothpoly import grothendieck as grothendieck_module
 from grothpoly import poly as poly_module
 from grothpoly.identities import grid_corollaries, grid_fnr_type, grid_gm_type
+from grothpoly.poly import NotSymmetricError
 from cleared_reference import cross_product, fnr_cleared_term, gm_cleared_term, push_forward
 from helpers import (
+    block_factor,
     case_sides,
     cleared_sides,
     decreasing_terms,
@@ -161,14 +163,6 @@ def test_push_forward_is_the_cleared_subset_sum():
                 assert V * push_forward(F, n, k) == cleared, (n, k)
 
 
-def _block_factor(universe, rng, lo, hi):
-    """A random polynomial in x_lo..x_hi, b and the y's, symmetrized over x_lo..x_hi."""
-    m = hi - lo + 1
-    p = random_polynomial(VariableUniverse(m, universe.n_y), rng, max_terms=3, nonzero=True)
-    targets = ([lo + v for v in w] for w in permutations(range(m)))
-    return poly_sum(universe, (relabel(universe, p, w) for w in targets))
-
-
 def test_alternant_coords_of_block_factors():
     # the coordinates read from A's and B's block coordinates are the strictly
     # decreasing terms of V * d_v(A*B), with A*B formed and pushed forward
@@ -178,8 +172,8 @@ def test_alternant_coords_of_block_factors():
         V = U.vandermonde(range(1, n + 1))
         for k in range(n + 1):
             for _ in range(4):
-                a = _block_factor(U, rng, 1, k)
-                b = _block_factor(U, rng, k + 1, n)
+                a = block_factor(U, rng, 1, k)
+                b = block_factor(U, rng, k + 1, n)
                 want = decreasing_terms(V * push_forward(a * b, n, k), n)
                 assert alternant_coords(a, n, k, b) == want, (n, k)
 
@@ -211,21 +205,21 @@ def test_reported_counts_are_those_of_the_cleared_sides(builder):
 
 
 def test_non_symmetric_builder_is_rejected():
-    # the side whose builder output is not symmetric; with k = 1 the check on
-    # G_lam has nothing to swap, and only G_mu is caught, as on every k < n verdict
+    # the side whose builder output is not symmetric, F's factor G_lam read
+    # first; with k = 1 G_lam has one x, and only G_mu is caught, as on every
+    # k < n verdict
     for identity, params, side in [
-        ("gm_type", {"lam": [2, 1], "n": 3}, "G_lam for lam=[2, 1] is not symmetric in x_1..x_2"),
+        ("gm_type", {"lam": [2, 1], "n": 3}, "G_lam for gm_type is not symmetric in x_1..x_2"),
         ("gm_type", {"lam": [1], "n": 2}, "G_mu for gm_type is not symmetric in x_1..x_2"),
-        ("gm_type", {"lam": [1, 1], "n": 2}, "G_lam for lam=[1, 1] is not symmetric in x_1..x_2"),
-        ("gm_type", {"lam": [2, 1, 0], "n": 3}, "G_lam for lam=[2, 1, 0] is not symmetric"),
+        ("gm_type", {"lam": [1, 1], "n": 2}, "G_lam for gm_type is not symmetric in x_1..x_2"),
+        ("gm_type", {"lam": [2, 1, 0], "n": 3}, "G_lam for gm_type is not symmetric in x_1..x_3"),
         ("fnr_type", {"lam": [1], "m": 3, "n": 3}, "G_mu for fnr_type is not symmetric in x_1..x_3"),
-        ("fnr_type", {"lam": [1, 0], "m": 3, "n": 3}, "G_lam for lam=[1, 0] is not symmetric"),
-        ("good_k_general", {"n": 3, "k": 2}, "G_lam for lam=[0, 0] is not symmetric"),
-        ("classical_gm", {"lam": [2, 1], "n": 3}, "G_lam for lam=[2, 1] is not symmetric"),
+        ("fnr_type", {"lam": [1, 0], "m": 3, "n": 3}, "G_lam for fnr_type is not symmetric in x_1..x_2"),
+        ("good_k_general", {"n": 3, "k": 2}, "G_lam for good_k_general is not symmetric in x_1..x_2"),
     ]:
         with pytest.raises(PreconditionViolatedError) as exc:
             run_case(identity, params, builder=skewed_builder, fast_trials=5, seed=3)
-        assert str(exc.value).startswith("the builder's " + side), (identity, params)
+        assert str(exc.value) == "the builder's " + side, (identity, params)
 
 
 def _square_xn_builder(shape, n, *, universe=None):
@@ -242,7 +236,9 @@ def test_g_mu_symmetry_is_checked_on_passing_coordinates():
         ("fnr_type", {"lam": [1], "m": 3, "n": 3}),
     ]:
         _, U, lhs, (a, b), k = identities._case(identity, params, _square_xn_builder)
-        assert alternant_coords(lhs, U.n_x) == alternant_coords(a, U.n_x, k, b), identity
+        n = U.n_x
+        V = U.vandermonde(range(1, n + 1))
+        assert decreasing_terms(V * lhs, n) == alternant_coords(a, n, k, b), identity
         with pytest.raises(PreconditionViolatedError) as exc:
             run_case(identity, params, builder=_square_xn_builder)
         message = f"the builder's G_mu for {identity} is not symmetric"
@@ -250,10 +246,11 @@ def test_g_mu_symmetry_is_checked_on_passing_coordinates():
 
 
 def test_classical_tags_check_symmetry_on_the_specialized_sides():
-    # G + b*x_1 at k = 1: G_lam has nothing to swap, and at b = 0 the G_mu
-    # that gm_type and fnr_type reject above is G itself
+    # G + b*x_1: at b = 0 the G_lam and the G_mu that gm_type and fnr_type
+    # reject above are G itself
     for identity, params in [
         ("classical_gm", {"lam": [1], "n": 2}),
+        ("classical_gm", {"lam": [2, 1], "n": 3}),
         ("classical_fnr", {"lam": [1], "m": 3, "n": 3}),
     ]:
         assert run_case(identity, params, builder=skewed_builder).passed, identity
@@ -299,12 +296,14 @@ def test_verdicts_below_k_equal_n_never_form_f(monkeypatch):
 
 
 def test_symmetry_guard_rejects_a_g_mu_failing_only_the_last_swap():
-    # symmetric in x_1..x_{n-1}, not under s_{n-1}: the guard's last lookup catches it
+    # symmetric in x_1..x_{n-1}, not under s_{n-1}: the kernel reads the block
+    # x_1..x_{n-1} and rejects the block x_1..x_n
     for n in range(2, 5):
         U = VariableUniverse(n, 1)
         p = poly_prod(U, (U.circle_plus(i, 1) for i in range(1, n)))
-        assert identities._is_symmetric(p, n - 1)
-        assert not identities._is_symmetric(p, n)
+        alternant_coords(p, n - 1)
+        with pytest.raises(NotSymmetricError, match=f"in x1..x{n}$"):
+            alternant_coords(p, n)
         assert all(p.swap_x(i, i + 1) == p for i in range(1, n - 1))
 
 

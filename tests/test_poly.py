@@ -25,7 +25,8 @@ from grothpoly import (
     poly_sum,
     random_rational_point,
 )
-from helpers import decreasing_terms, random_polynomial, relabel
+from grothpoly.poly import NotSymmetricError
+from helpers import block_factor, decreasing_terms, random_polynomial, relabel
 
 U = VariableUniverse(3, 4)
 
@@ -530,18 +531,56 @@ def test_swap_and_divided_difference():
         assert g.divided_difference(1) == exact_div(anti, U.x(1) - U.x(2))
 
 
-def test_is_symmetric_in_agrees_with_swap_and_compare():
+def _swap_symmetric(p, lo, hi):
+    """Whether every adjacent swap of x_lo..x_hi leaves p unchanged."""
+    return all(p.swap_x(i, i + 1) == p for i in range(lo, hi))
+
+
+def _broken_orbit(universe, p, rng, how, lo, hi):
+    """p with the orbit of one random term broken: its coefficient changed,
+    every term of its x_lo..x_hi exponents dropped, or the term times b or y1."""
+    terms = p.terms_sorted()
+    exps, c = rng.choice(terms)
+    if how == "coefficient":
+        return p + universe.monomial(rng.choice([-2, -1, 1, 2]), exps)
+    if how == "missing":
+        head = [exps.get(f"x{i}", 0) for i in range(lo, hi + 1)]
+        kept = (e for e in terms if [e[0].get(f"x{i}", 0) for i in range(lo, hi + 1)] != head)
+        return poly_sum(universe, (universe.monomial(d, e) for e, d in kept))
+    term = universe.monomial(c, exps)
+    return p - term + term * rng.choice([universe.beta(), universe.y(1)])
+
+
+def test_alternant_coords_rejects_exactly_the_non_symmetric_factors():
+    # one factor of a symmetrized pair loses the symmetry of one orbit; the kernel
+    # raises exactly when adjacent swaps say so, and names the factor's block
     rng = random.Random(12)
-    four = VariableUniverse(4, 1)
-    for _ in range(30):
-        p = random_polynomial(four, rng, max_terms=4)
-        sym = _symmetrized(four, p, 4)
-        for q in (p, p + p.swap_x(1, 2), sym, sym + four.beta() * four.x(4), sym + p):
-            for i, j in [(1, 2), (2, 3), (3, 4), (1, 4), (2, 2)]:
-                assert q.is_symmetric_in(i, j) == (q.swap_x(i, j) == q), (str(q), i, j)
-        assert sym.is_symmetric_in(1, 2) and sym.is_symmetric_in(3, 4)
-    with pytest.raises(UniverseMismatchError):
-        four.one().is_symmetric_in(4, 5)
+    raised = dict.fromkeys(("coefficient", "missing", "beta or y"), 0)
+    for n in range(1, 5):
+        universe = VariableUniverse(n, 1)
+        for k in range(n + 1):
+            for how in raised:
+                for _ in range(4):
+                    a = block_factor(universe, rng, 1, k)
+                    b = block_factor(universe, rng, k + 1, n)
+                    lo, hi = rng.choice([(1, k), (k + 1, n)] if 0 < k < n else [(1, n)])
+                    if (lo, hi) == (1, k):
+                        a = _broken_orbit(universe, a, rng, how, lo, hi)
+                    else:
+                        b = _broken_orbit(universe, b, rng, how, lo, hi)
+                    if _swap_symmetric(a, 1, k) and _swap_symmetric(b, k + 1, n):
+                        alternant_coords(a, n, k, b)
+                        continue
+                    with pytest.raises(NotSymmetricError, match=f"in x{lo}..x{hi}$"):
+                        alternant_coords(a, n, k, b)
+                    raised[how] += 1
+    assert all(raised.values()), raised
+    # equal groups alone would accept x1^2 without x2^2: the orbit must be complete
+    two = VariableUniverse(2, 1)
+    for p in (two.x(1) ** 2, two.x(1) ** 2 + two.x(2) ** 2 + two.x(1) ** 2 * two.x(2)):
+        with pytest.raises(NotSymmetricError, match="in x1..x2$"):
+            alternant_coords(p, 2)
+    assert alternant_coords(two.x(1) ** 2 + two.x(2) ** 2, 2) == two.x(1) ** 3 - two.x(1) ** 2 * two.x(2)
 
 
 def test_rational_point_distinct_x():
