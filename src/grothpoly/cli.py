@@ -111,14 +111,12 @@ def cmd_tableaux(args) -> int:
     return 0
 
 
-def _report_text(report, show_timing: bool = False) -> str:
+def _report_text(report) -> str:
     params = " ".join(f"{k}={v}" for k, v in report.params.items())
     bits = [f"{report.identity:<18} {params:<36} {report.verdict}"]
     bits.append(f"lhs_terms={report.lhs_terms} rhs_terms={report.rhs_terms}")
     if report.witness is not None:
         bits.append(f"witness={json.dumps(report.witness.to_json_obj())}")
-    if show_timing:
-        bits.append(f"{int(report.elapsed * 1000)}ms")
     return "  ".join(bits)
 
 

@@ -22,12 +22,10 @@ oracle of the tests shares no code with it at all.  The default universe for
 a result in n variables is (n_x=n, n_y=n+lam_1-1), the largest y index any
 tableau weight or determinant entry can touch.
 
-The determinant quotient alone also makes sense for an integer sequence that
-is not a partition, as long as every exponent lam_j + n - j stays
-nonnegative.  This extension is the value of G_mu that the Gustafson-Milne-type
-identity needs when its shifted index mu has a negative part; at beta = 0 two
-columns of the numerator coincide and it vanishes, which is the classical
-bialternant convention.
+determinant_columns gives the numerator's diagonal columns f_j(x_j) for any
+integer index whose exponents lam_j + n - j are nonnegative, a partition or
+not; the Gustafson-Milne-type identity reads its G_mu from them when the
+shifted index mu has a negative part.  g_determinant takes partitions only.
 """
 
 from __future__ import annotations
@@ -37,12 +35,11 @@ from typing import Callable, Iterable, Sequence
 
 from .poly import Polynomial, UniverseMismatchError, VariableUniverse, poly_dot
 from .poly import poly_sum  # noqa: F401 -- the benchmark's tracer test reads it here
-from .tableaux import InvalidPartitionError, Partition, coerce_partition
+from .tableaux import Partition, coerce_partition
 
 
 class InvalidShapeError(ValueError):
-    """Shape has more than n nonzero rows, or an index lies outside the
-    determinant quotient's domain; the n-variable formula does not exist."""
+    """Shape has more than n nonzero rows; the n-variable formula does not exist."""
 
 
 class EmbeddingError(ValueError):
@@ -121,67 +118,46 @@ def g_tableau(shape, n: int, *, universe: VariableUniverse | None = None) -> Pol
     return sums[()]
 
 
-def _determinant_index(shape, n: int) -> tuple[int, ...]:
-    """The shape zero-padded to n entries, checked against the domain of the
-    determinant quotient: a partition with at most n nonzero rows, or any
-    other integer sequence of length <= n with lam_j + n - j >= 0 for all j."""
-    try:
-        shape = coerce_partition(shape)
-    except InvalidPartitionError:
-        parts = tuple(int(p) for p in shape)
-        if len(parts) > n or any(p + n - j < 0 for j, p in enumerate(parts, 1)):
-            raise InvalidShapeError(
-                f"index {parts} is outside the domain for n={n}: "
-                "need length <= n and lam_j + n - j >= 0"
-            ) from None
-        return parts + (0,) * (n - len(parts))
-    if len(shape) > n:
-        raise InvalidShapeError(f"shape {shape!r} has more than {n} nonzero rows")
-    return shape.padded(n)
-
-
 def _numerator_entry(U: VariableUniverse, i: int, e: int, j: int) -> Polynomial:
     """[x_i|y]^e (1+b x_i)^j, an entry of the determinant quotient's numerator."""
     return U.bracket_pow(i, e) * (U.one() + U.beta() * U.x(i)) ** j
 
 
-def determinant_numerator(
-    exponents: Sequence[int], universe: VariableUniverse
-) -> list[list[Polynomial]]:
-    """The rows [x_i|y]^{e_j} (1+b x_i)^{j-1}, i, j = 1..n, for exponents e_1..e_n."""
-    return [
-        [_numerator_entry(universe, i, e, j) for j, e in enumerate(exponents)]
-        for i in range(1, len(exponents) + 1)
-    ]
+def determinant_columns(
+    index: Sequence[int], n: int, universe: VariableUniverse
+) -> list[Polynomial]:
+    """The diagonal columns f_j(x_j) = [x_j|y]^{e_j} (1+b x_j)^{j-1}, j = 1..n, of
+    the determinant quotient of an integer index zero-padded to n entries,
+    e_j = index_j + n - j >= 0.  By the Leibniz formula det(f_j(x_i)) is V times
+    d_{w0} of their product, so alternant_coords reads V*G from them, in n
+    blocks of one x each, with no G formed."""
+    padded = tuple(index) + (0,) * (n - len(index))
+    return [_numerator_entry(universe, j, p + n - j, j - 1) for j, p in enumerate(padded, 1)]
 
 
 def g_determinant(shape, n: int, *, universe: VariableUniverse | None = None) -> Polynomial:
     """Determinant quotient construction (zero-pads the shape to n rows).
 
-    Besides partitions, the shape may be any integer sequence of length <= n
-    whose exponents lam_j + n - j are all nonnegative (see the module
-    docstring); a sequence outside that domain raises InvalidShapeError.
-    The default universe reaches the largest exponent, max_j lam_j + n - j,
-    which for a partition is the usual n + lam_1 - 1.
-
-    The quotient det(f_j(x_i)) / V, f_j(x) = [x|y]^{e_j} (1+b x)^{j-1}, is
-    the antisymmetrizer over V, which is d_{w0} (Macdonald, Notes on
-    Schubert Polynomials, (2.10)); on the reversed diagonal product it is
-    G = (-1)^{n(n-1)/2} d_{w0}(prod_j f_j(x_{n+1-j})).  With
-    d_{w0} = (d_{n-1}...d_1)(d_{n-1}...d_2)...(d_{n-1}) it is built one
+    The quotient det(f_j(x_i)) / V, f_j(x) = [x|y]^{e_j} (1+b x)^{j-1} with
+    e_j = lam_j + n - j, is the antisymmetrizer over V, which is d_{w0}
+    (Macdonald, Notes on Schubert Polynomials, (2.10)); on the reversed
+    diagonal product it is G = (-1)^{n(n-1)/2} d_{w0}(prod_j f_j(x_{n+1-j})).
+    With d_{w0} = (d_{n-1}...d_1)(d_{n-1}...d_2)...(d_{n-1}) it is built one
     variable at a time: for r = n, ..., 1, multiply by f_{n-r+1}(x_r), then
     apply d_r, ..., d_{n-1}; the factors still to come live in x_1..x_{r-1}
     and are constants for those operators.  No determinant is expanded and
     nothing is divided.  The largest exponent goes in first, at x_n, which
     keeps the intermediate products small.
     """
-    lam = _determinant_index(shape, n)
-    exponents = [lam[j - 1] + n - j for j in range(1, n + 1)]
-    U = universe if universe is not None else VariableUniverse(n, max(exponents, default=0))
+    shape = coerce_partition(shape)
+    if len(shape) > n:
+        raise InvalidShapeError(f"shape {shape!r} has more than {n} nonzero rows")
+    lam = shape.padded(n)
+    U = universe if universe is not None else default_universe(shape, n)
     g = U.one()
-    for j, e in enumerate(exponents):
+    for j in range(n):
         r = n - j
-        g = g * _numerator_entry(U, r, e, j)
+        g = g * _numerator_entry(U, r, lam[j] + r - 1, j)
         for i in range(r, n):
             g = g.divided_difference(i)
     return -g if n * (n - 1) // 2 % 2 else g

@@ -16,11 +16,18 @@ longest minimal coset representative of S_n/(S_k x S_{n-k}): the Gysin
 formula of a Grassmannian bundle (Fulton-Pragacz, Schubert Varieties and
 Degeneracy Loci, LNM 1689).  V*d_v F, V = prod_{i<j}(x_i - x_j), is
 alternating, and a verdict compares its alternant coordinates (Macdonald,
-Symmetric Functions, I.3) with those of V*G_mu.  alternant_coords reads them
-from the block coordinates of A and of B, sorting each pair of exponent
-vectors with the sign of the sort: F is never formed, and there is no
-divided difference, no rational-function arithmetic and no sum over
-subsets.  At k = n, F is G_mu, its one factor.
+Symmetric Functions, I.3) with those of V*G_mu.
+
+Every side is (factors, block sizes): d_v of the factors' product, factor i
+in the i-th run of consecutive x's.  F's side is ((A, B), (k, n-k)), G_mu's
+((G_mu,), (n,)), one object for both at k = n.  In a GM zero case (mu has a
+negative part) G_mu's side is the diagonal columns f_j(x_j) of its
+determinant quotient in n blocks of one x: V*d_{w0} of their product is
+det(f_j(x_i)) = V*G_mu.  The Vandermonde lemma compares those columns at
+lam = empty with ((1,), (n,)); the e_beta recurrence compares two sides in
+no x, (p,) in (0,).  alternant_coords reads every side, folding its blocks'
+coordinates: no side is multiplied out, and there is no divided difference,
+no determinant expansion and no sum over subsets.
 
 A builder is called as builder(shape, n, universe=U) and must build G in
 x_1..x_n of any U with U.n_x >= n; G_lam is built so, in the n-variable
@@ -31,8 +38,8 @@ coordinates (each term's group against that of its sorted x-exponents, and
 every orbit complete), and a verdict whose A, or G_mu, is not symmetric
 raises PreconditionViolatedError naming G_lam, or G_mu, and its block.
 
-Reports count the terms of the cleared sides V*G_mu and V*d_v F: n! per
-alternant coordinate, from the coordinates the verdict compared.
+Reports count n! terms per alternant coordinate: the terms of the cleared
+sides (det(f_j(x_i)) and V for the lemma, the sides themselves for e_beta).
 
 The corollaries are parameter maps into the two families: Good's identity
 is the GM-type identity at lam = (n-1,), Louck's at lam = (m,), and Good's
@@ -40,9 +47,9 @@ k-subset identity the FNR-type identity at lam = 0^k, m = k.  One table
 maps each tag to its case (each classical tag to the general one it
 specializes); run_case dispatches through it to one comparison.
 
-When the compared sides differ and fast_trials > 0, both (a subset sum as
-such) are evaluated at up to fast_trials seeded random rational points with
-distinct x's and the first disagreement is reported as a witness; V
+When the compared sides differ and fast_trials > 0, both (each a subset sum
+as such) are evaluated at up to fast_trials seeded random rational points
+with distinct x's and the first disagreement is reported as a witness; V
 vanishes at none of them, so the witness is that of the cleared sides.
 Sampling never changes a verdict.
 """
@@ -53,24 +60,18 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from functools import partial
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, prod
 from typing import Callable, Sequence
 
-from .grothendieck import (
-    classical_image,
-    determinant_numerator,
-    g_determinant,
-    g_tableau,
-    restrict,
-)
+from .grothendieck import classical_image, determinant_columns, g_tableau, restrict
 from .poly import (
     NotSymmetricError,
     Polynomial,
     RationalPoint,
     VariableUniverse,
     alternant_coords,
-    determinant,
     poly_prod,
     poly_sum,
     random_rational_point,
@@ -138,11 +139,11 @@ def clear_denominator_fnr(
 class IdentityReport:
     """One verdict and the term counts of the two sides it compared.
 
-    For the GM and FNR families (and their corollaries and classical
-    images) the sides are G_mu and d_v F, and lhs_terms and rhs_terms count
-    the terms of the cleared sides V*G_mu and V*d_v F, n! per alternant
-    coordinate; otherwise they count the sides as stated.  A report holds
-    no polynomial: the sides are freed once it is built.
+    lhs_terms and rhs_terms count n! terms per alternant coordinate: those
+    of the cleared sides, V*G_mu and V*d_v F for the GM and FNR families
+    (and their corollaries and classical images), det(f_j(x_i)) and V for
+    the Vandermonde lemma, the sides themselves for e_beta (no x).  A
+    report holds no polynomial: the sides are freed once it is built.
     """
 
     identity: str
@@ -187,55 +188,58 @@ def fast_check(
     return None
 
 
-def _subset_sum_at(factors, n: int, k: int, point: RationalPoint) -> Fraction:
-    """sum_S sigma_S(F) / prod_{i in S, j notin S}(x_i - x_j) over the k-subsets S
-    of [n], F the product of the factors, each evaluated on its own."""
+def _subset_sum_at(factors, sizes, point: RationalPoint) -> Fraction:
+    """d_v of the factors' product at a point, factor i in the i-th block of
+    sizes[i] x's: the sum over ordered set partitions (S_1, ..., S_t) of [n]
+    into blocks of those sizes, each read increasing, of prod_i f_i(x_{S_i})
+    over prod (x_a - x_b), a in S_i and b in S_j for i < j, each factor
+    evaluated on its own.  One block gives the factor's value; n blocks of
+    one x give det(f_j(x_i)) / V."""
+    n = sum(sizes)
     xs, total = point.xs, Fraction(0)
-    for S in combinations(range(n), k):
-        rest = tuple(j for j in range(n) if j not in S)
-        moved = replace(point, xs=tuple(xs[j] for j in S + rest) + xs[n:])
-        value = prod(f.eval_rational(moved) for f in factors)
-        total += value / prod(xs[i] - xs[j] for i in S for j in rest)
+    block = [i for i, m in enumerate(sizes) for _ in range(m)]
+    for order in permutations(range(n)):
+        if any(block[r] == block[r + 1] and order[r] > order[r + 1] for r in range(n - 1)):
+            continue
+        moved = tuple(xs[j] for j in order)
+        value = prod(f.eval_rational(replace(point, xs=moved + xs[n:])) for f in factors)
+        total += value / prod(
+            moved[r] - moved[s] for r in range(n) for s in range(r + 1, n) if block[r] < block[s]
+        )
     return total
 
 
-def _finish(identity, params, universe, lhs, rhs, k, started, opts) -> IdentityReport:
-    """Compare the sides and report; with k None, as stated.  Else rhs holds the
-    factors of the F of a subset sum over k-subsets of [n_x]: (A, B), A in
-    x_1..x_k and B in x_{k+1}..x_n, or (G_mu,) at k = n.  Compare the alternant
-    coordinates of V*d_v F, read from the factors' block coordinates without
-    forming F, with those of V*G_mu; the kernel checks each factor's symmetry
-    as it reads it, F's first, and a failure raises PreconditionViolatedError.
-    A witness evaluates the sum itself, each factor at each point."""
-    n, scale = universe.n_x, 1
-    lhs_at = lhs.eval_rational
-    if k is None:
-        rhs_at = rhs.eval_rational
-    else:
-        rhs_at = lambda pt, factors=rhs: _subset_sum_at(factors, n, k, pt)
-        a, *b = rhs
-        side, j = "G_lam", k
-        try:
-            coords = alternant_coords(a, n, k, *b)
-            side, j = "G_mu", n
-            lhs = coords if a is lhs and not b else alternant_coords(lhs, n)
-        except NotSymmetricError:
-            raise PreconditionViolatedError(
-                f"the builder's {side} for {identity} is not symmetric in x_1..x_{j}"
-            ) from None
-        rhs, scale = coords, factorial(n)
-    passed = lhs == rhs
+def _finish(identity, params, universe, lhs, rhs, started, opts) -> IdentityReport:
+    """Compare the two sides, each (factors, block sizes), by the alternant
+    coordinates of V*d_v of the factors' product, read by alternant_coords
+    without forming it: F's side first, and once when lhs is rhs (k = n).
+    The kernel checks each factor's symmetry as it reads it; a side's first
+    factor is the one a builder makes, and a failure raises
+    PreconditionViolatedError naming the side and that factor's block.
+    A witness evaluates each side's sum itself, each factor at each point."""
+    side, (factors, sizes) = "G_lam", rhs
+    try:
+        rhs_coords = alternant_coords(factors, sizes)
+        side, (factors, sizes) = "G_mu", lhs
+        lhs_coords = rhs_coords if lhs is rhs else alternant_coords(factors, sizes)
+    except NotSymmetricError:
+        raise PreconditionViolatedError(
+            f"the builder's {side} for {identity} is not symmetric in x_1..x_{sizes[0]}"
+        ) from None
+    passed = lhs_coords == rhs_coords
     witness = None
     if not passed and opts.get("fast_trials", 0) > 0:
+        lhs_at, rhs_at = partial(_subset_sum_at, *lhs), partial(_subset_sum_at, *rhs)
         witness = fast_check(lhs_at, rhs_at, universe, opts["fast_trials"], opts.get("seed", 0))
+    scale = factorial(universe.n_x)
     return IdentityReport(
         identity=identity,
         params=params,
         verdict="pass" if passed else "fail",
         witness=witness,
         elapsed=time.perf_counter() - started,
-        lhs_terms=scale * lhs.num_terms,
-        rhs_terms=scale * rhs.num_terms,
+        lhs_terms=scale * lhs_coords.num_terms,
+        rhs_terms=scale * rhs_coords.num_terms,
     )
 
 
@@ -257,8 +261,9 @@ def _one_plus_bx(universe: VariableUniverse, i: int) -> Polynomial:
 
 
 def _gm_sides(lam, n, builder):
-    """(universe, G_mu, (A, B), k): F = A*B, A = G_lam(x_1..x_k|y) and
-    B = prod_{j>k}(1+b x_j)^k; (G_mu,) in place of (A, B) at k = n."""
+    """(universe, G_mu's side, F's side): F = A*B in blocks of k and n-k x's,
+    A = G_lam(x_1..x_k|y) and B = prod_{j>k}(1+b x_j)^k; at k = n one side,
+    ((G_mu,), (n,)), is both."""
     k = len(lam)
     if not 0 <= k <= n or n < 1:
         raise PreconditionViolatedError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -269,14 +274,16 @@ def _gm_sides(lam, n, builder):
     U = VariableUniverse(n, max(lam1 + k - 1, n - k - 1 if zero_case else 0, 0))
     g = restrict(builder, Partition(lam), range(1, k + 1), U)
     if k == n:  # v is the identity and mu = lam: one build, and F is G_mu
-        return U, g, (g,), k
+        side = ((g,), (n,))
+        return U, side, side
     if zero_case:
-        # no tableaux exist for a non-partition index: G is the determinant quotient
-        lhs = g_determinant(shifted, n, universe=U)
+        # no tableaux exist for a non-partition index: V*G_mu is the determinant
+        # numerator, the push-forward of its diagonal columns through n blocks
+        lhs = (determinant_columns(shifted, n, U), (1,) * n)
     else:
-        lhs = builder(shifted, n, universe=U)
+        lhs = ((builder(shifted, n, universe=U),), (n,))
     tail = poly_prod(U, (_one_plus_bx(U, j) ** k for j in range(k + 1, n + 1)))
-    return U, lhs, (g, tail), k
+    return U, lhs, ((g, tail), (k, n - k))
 
 
 def _gm_case(lam, n, builder):
@@ -288,11 +295,12 @@ def verify_gm_type(lam: Sequence[int], n: int, *, builder=g_tableau, **opts) -> 
     """G_{(lam_i - n + k)}(x|y) = sum_S G_lam(x_S|y) prod_{j notin S}(1+b x_j)^k / cross(S).
 
     When lam_k - n + k < 0 the shifted index mu is not a partition and has
-    no tableaux; the left side is then G_mu := g_determinant(mu, n), the
-    determinant quotient of the zero-padded mu, whatever the builder.  It is
-    a multiple of beta (-b at lam=(0), n=2, k=1) and vanishes at beta = 0,
-    where the numerator has two equal columns: the classical convention of
-    the classical_gm tag.
+    no tableaux; the left side is then G_mu := det(f_j(x_i)) / V, the
+    determinant quotient of the zero-padded mu, whatever the builder, read
+    from its diagonal columns f_j(x_j) = [x_j|y]^{mu_j+n-j} (1+b x_j)^{j-1}.
+    It is a multiple of beta (-b at lam=(0), n=2, k=1) and vanishes at
+    beta = 0, where the numerator has two equal columns: the classical
+    convention of the classical_gm tag.
     """
     return run_case("gm_type", {"lam": lam, "n": n}, builder=builder, **opts)
 
@@ -330,9 +338,9 @@ def verify_louck_general(m: int, n: int, *, builder=g_tableau, **opts) -> Identi
 
 
 def _fnr_sides(lam, m, n, builder):
-    """(universe, G_mu, (A, B), k): F = A*B, A = (-1)^{k(n-k)} G_lam(x_1..x_k|y)
-    prod_{i<=k}(1+b x_i)^{n-k} and B = prod_{j>k}[x_j|y]^m; (G_mu,) in place
-    of (A, B) at k = n."""
+    """(universe, G_mu's side, F's side): F = A*B in blocks of k and n-k x's,
+    A = (-1)^{k(n-k)} G_lam(x_1..x_k|y) prod_{i<=k}(1+b x_i)^{n-k} and
+    B = prod_{j>k}[x_j|y]^m; at k = n one side, ((G_mu,), (n,)), is both."""
     k = len(lam)
     if not 0 <= k <= n or n < 1:
         raise PreconditionViolatedError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -345,11 +353,13 @@ def _fnr_sides(lam, m, n, builder):
     U = VariableUniverse(n, max(m + n - k - 1, 0))
     g = restrict(builder, Partition(lam), range(1, k + 1), U)
     if k == n:  # v is the identity and mu = lam: one build, and F is G_mu
-        return U, g, (g,), k
+        side = ((g,), (n,))
+        return U, side, side
     lhs = builder((m - k,) * (n - k) + tuple(lam), n, universe=U)
     head = poly_prod(U, (_one_plus_bx(U, i) ** (n - k) for i in range(1, k + 1)))
     tail = poly_prod(U, (U.bracket_pow(j, m) for j in range(k + 1, n + 1)))
-    return U, lhs, ((-g if k * (n - k) % 2 else g) * head, tail), k
+    a = (-g if k * (n - k) % 2 else g) * head
+    return U, ((lhs,), (n,)), ((a, tail), (k, n - k))
 
 
 def _fnr_case(lam, m, n, builder):
@@ -386,15 +396,15 @@ def _vandermonde_case(n, builder):
     if n < 1:
         raise PreconditionViolatedError("n must be positive")
     U = VariableUniverse(n, max(n - 1, 0))
-    lhs = determinant(determinant_numerator(range(n - 1, -1, -1), U))
-    return {"n": n}, U, lhs, U.vandermonde(range(1, n + 1)), None
+    return {"n": n}, U, (determinant_columns((), n, U), (1,) * n), ((U.one(),), (n,))
 
 
 def verify_vandermonde_lemma(n: int, **opts) -> IdentityReport:
     """det([x_r|y]^{n-c} (1+b x_r)^{c-1})_{r,c} = prod_{i<j}(x_i - x_j).
 
-    The left side is g_determinant's numerator at lam = empty (exponents
-    n - c), expanded in full.
+    The left side is read from the numerator's diagonal columns f_c(x_c) at
+    lam = empty, in n blocks of one x (the Leibniz formula), and the right
+    side V from ((1,), (n,)); no determinant is expanded.  Each counts n! terms.
     """
     return run_case("vandermonde_lemma", {"n": n}, **opts)
 
@@ -423,7 +433,7 @@ def _e_beta_case(k, n, builder):
         raise PreconditionViolatedError("n must be positive")
     U = VariableUniverse(0, n)
     rhs = (U.one() + U.beta() * U.y(n)) * e_beta(k, n - 1, U) + U.y(n) * e_beta(k - 1, n - 1, U)
-    return {"k": k, "n": n}, U, e_beta(k, n, U), rhs, None
+    return {"k": k, "n": n}, U, ((e_beta(k, n, U),), (0,)), ((rhs,), (0,))
 
 
 def verify_e_beta_recurrence(k: int, n: int, **opts) -> IdentityReport:
@@ -442,7 +452,7 @@ def _good_reciprocal_witness(n: int, trials: int, seed: int) -> RationalPoint | 
             pt = random_rational_point(U, rng, distinct_x=True)
             if all(pt.xs):
                 break
-        if _subset_sum_at((F,), n, 1, pt) != 1:
+        if _subset_sum_at((U.one(), F), (1, n - 1), pt) != 1:
             return pt
     return None
 
@@ -526,7 +536,8 @@ def suite_cases(seed: int = 0):
 
 # tag -> (case, parameter names in positional order); a classical tag maps to
 # the general tag whose sides it specializes.  A case checks its parameters and
-# returns the report params, the universe, the sides and k (None: as stated).
+# returns the report params, the universe and the two sides, each
+# (factors, block sizes).
 _IDENTITIES = {
     "gm_type": (_gm_case, ("lam", "n")),
     "fnr_type": (_fnr_case, ("lam", "m", "n")),
@@ -545,9 +556,10 @@ IDENTITY_TAGS = tuple(_IDENTITIES)
 
 
 def _case(identity: str, params: dict, builder):
-    """(report params, universe, lhs, rhs, k) of a tag's case, rhs F's factors
-    when k is not None; params must name exactly the tag's parameters (and
-    for classical_good, optionally the trials and seed of its reciprocal form)."""
+    """(report params, universe, lhs, rhs) of a tag's case, each side
+    (factors, block sizes), one object for both at k = n; params must name
+    exactly the tag's parameters (and for classical_good, optionally the
+    trials and seed of its reciprocal form)."""
     entry = _IDENTITIES.get(identity)
     if entry is None:
         raise PreconditionViolatedError(f"unknown identity {identity!r}")
@@ -559,19 +571,19 @@ def _case(identity: str, params: dict, builder):
         if wrong:
             flags = ", ".join("--" + name.replace("lam", "shape") for name in wrong)
             raise PreconditionViolatedError(f"{identity} {problem} {flags}")
-    out, U, lhs, rhs, k = case(*(params[name] for name in names), builder)
-    if isinstance(entry, str):  # at k = n F's one factor is lhs: specialize it once
-        image = classical_image(lhs)
-        rhs = tuple(image if f is lhs else classical_image(f) for f in rhs)
-        lhs = image
-    return out, U, lhs, rhs, k
+    out, U, lhs, rhs = case(*(params[name] for name in names), builder)
+    if isinstance(entry, str):  # specialize each factor once; at k = n lhs is rhs
+        same = lhs is rhs
+        rhs = (tuple(classical_image(f) for f in rhs[0]), rhs[1])
+        lhs = rhs if same else (tuple(classical_image(f) for f in lhs[0]), lhs[1])
+    return out, U, lhs, rhs
 
 
 def run_case(identity: str, params: dict, *, builder=g_tableau, **opts) -> IdentityReport:
     """Verify one case of a tag in IDENTITY_TAGS, with params as in the grids.
 
-    A classical tag is the beta = 0, y = 0 image of its general case: G_mu
-    and each factor of F are specialized before they are compared and
+    A classical tag is the beta = 0, y = 0 image of its general case: each
+    factor of each side is specialized before the sides are compared and
     counted; d_v and V hold neither beta nor y, so the counts are those of
     the specialized cleared sides.  classical_good also checks the
     reciprocal form 1 = sum_i prod_{j != i} (1 - x_i/x_j)^{-1} at seeded

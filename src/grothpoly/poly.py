@@ -24,7 +24,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 _EXP_BITS = 8
 _EXP_MASK = (1 << _EXP_BITS) - 1
@@ -665,55 +665,64 @@ def _block_coords(p: Polynomial, n: int, lo: int, hi: int) -> dict[tuple, dict[i
     return {c: coords for c, coords in out.items() if coords}
 
 
-def alternant_coords(
-    a: Polynomial, n: int, k: int | None = None, b: Polynomial | None = None
-) -> Polynomial:
-    """The terms of V * d_v(a*b) at strictly decreasing x_1..x_n exponents, for a
-    symmetric in x_1..x_k and free of x_{k+1}..x_n, and b symmetric in
-    x_{k+1}..x_n and free of x_1..x_k (k = n and b = 1 when omitted): V is
-    prod_{i<j<=n}(x_i - x_j) and d_v F = sum_S sigma_S(F / prod_{i<=k<j}(x_i - x_j)).
+def alternant_coords(factors: Sequence[Polynomial], sizes: Sequence[int]) -> Polynomial:
+    """The terms of V * d_v F, F = f_1 * ... * f_t, at strictly decreasing
+    x_1..x_n exponents, n = sum(sizes), for f_i symmetric in the i-th run of
+    sizes[i] consecutive x's and free of the other x's of x_1..x_n: V is
+    prod_{i<j<=n}(x_i - x_j) and d_v the Gysin push-forward from the blocks
+    to x_1..x_n (Fulton-Pragacz, LNM 1689).
 
     V * d_v F is alternating, so these terms, its alternant coordinates,
     determine it, and it has n! times as many (Macdonald, Symmetric
-    Functions, I.3).  The blocks share no x, so the block coordinates of
-    V_k * V_{n-k} * a * b are the products of a's and b's: each pair of block
-    exponents (alpha, gamma) is sorted with the sign of the sort, or dropped
-    when an entry repeats (the Laplace expansion along the first k columns;
-    the Gysin formula of Fulton-Pragacz, LNM 1689).  F is never formed.
+    Functions, I.3).  The blocks share no x: a fold, seeded with the first
+    block's coordinates, pairs the coordinates alpha of the blocks so far
+    with those, gamma, of the next, sorting alpha + gamma with the sign of
+    the sort or dropping it when an entry repeats (the Laplace expansion).
+    F is never formed.  For n blocks of one x, f_j(x_j), this is the Leibniz
+    formula: V * d_v F = det(f_j(x_i)).
 
-    The coordinates determine only a symmetric a*b, and each factor's block
-    coordinates check that it is symmetric in its block in the same pass
-    over its terms: NotSymmetricError names the first block, a's first, that
-    fails."""
-    U = a.universe
-    k = n if k is None else k
-    b = U.one() if b is None else b
-    if b.universe != U:
+    The coordinates determine only a block-symmetric F; each factor's block
+    coordinates check its symmetry in the same pass over its terms, and
+    NotSymmetricError names the first block that fails."""
+    if not factors or len(factors) != len(sizes):
+        raise ValueError("need one block size per factor")
+    U, n = factors[0].universe, sum(sizes)
+    if any(f.universe != U for f in factors):
         raise UniverseMismatchError("factors live in different universes")
-    if not 0 <= k <= n <= U.n_x:
-        raise UniverseMismatchError(f"need 0 <= k <= n <= n_x={U.n_x}, got k={k}, n={n}")
-    half = (k * (k - 1) + (n - k) * (n - k - 1)) // 2
-    bound = a._degbound + b._degbound + half
-    if bound > MAX_TOTAL_DEGREE and a.total_degree() + b.total_degree() + half > MAX_TOTAL_DEGREE:
-        raise DegreeOverflowError(f"product degree exceeds capacity {MAX_TOTAL_DEGREE}")
+    if min(sizes) < 0 or n > U.n_x:
+        raise UniverseMismatchError(
+            f"need block sizes >= 0 adding up to at most n_x={U.n_x}, got {tuple(sizes)}"
+        )
+    half = sum(m * (m - 1) // 2 for m in sizes)
+    bound = sum(f._degbound for f in factors) + half
+    if bound > MAX_TOTAL_DEGREE:  # the bounds may run high after cancellations
+        if half + sum(f.total_degree() for f in factors) > MAX_TOTAL_DEGREE:
+            raise DegreeOverflowError(f"product degree exceeds capacity {MAX_TOTAL_DEGREE}")
     shifts = U._shifts[1 : n + 1]
-    left = _block_coords(a, n, 1, k)
-    right = _block_coords(b, n, k + 1, n)
-    out: dict[int, int] = {}
-    get = out.get
-    for alpha, part in left.items():
-        for gamma, rest in right.items():
-            c = alpha + gamma
-            if len(set(c)) < n:
-                continue
-            sign = -1 if sum(u < v for u in alpha for v in gamma) % 2 else 1
-            delta = sum((e - f) << s for e, f, s in zip(sorted(c, reverse=True), c, shifts))
-            for kb, cb in rest.items():
-                base, cb = kb + delta, sign * cb
-                for ka, ca in part.items():
-                    nk = ka + base
-                    out[nk] = get(nk, 0) + ca * cb
-    return Polynomial._make(U, {key: c for key, c in out.items() if c}, bound)
+    acc = _block_coords(factors[0], n, 1, sizes[0])
+    lo = sizes[0] + 1
+    for f, m in zip(factors[1:], sizes[1:]):
+        right = _block_coords(f, n, lo, lo + m - 1)
+        lo += m
+        out: dict[tuple, dict[int, int]] = {}
+        for alpha, part in acc.items():
+            for gamma, rest in right.items():
+                c = alpha + gamma
+                if len(set(c)) < len(c):
+                    continue
+                sign = -1 if sum(u < v for u in alpha for v in gamma) % 2 else 1
+                top = tuple(sorted(c, reverse=True))
+                delta = sum((e - g) << s for e, g, s in zip(top, c, shifts))
+                coords = out.setdefault(top, {})
+                get = coords.get
+                for kb, cb in rest.items():
+                    base, cb = kb + delta, sign * cb
+                    for ka, ca in part.items():
+                        nk = ka + base
+                        coords[nk] = get(nk, 0) + ca * cb
+        acc = {c: {key: v for key, v in coords.items() if v} for c, coords in out.items()}
+    terms = {key: v for coords in acc.values() for key, v in coords.items()}
+    return Polynomial._make(U, terms, bound)
 
 
 def poly_prod(universe: VariableUniverse, polys: Iterable[Polynomial]) -> Polynomial:

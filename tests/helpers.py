@@ -83,10 +83,12 @@ def skewed_builder(shape, n: int, *, universe: VariableUniverse | None = None) -
     return g + g.universe.beta() * g.universe.x(1)
 
 
-def block_factor(universe: VariableUniverse, rng: random.Random, lo: int, hi: int) -> Polynomial:
+def block_factor(
+    universe: VariableUniverse, rng: random.Random, lo: int, hi: int, max_terms: int = 3
+) -> Polynomial:
     """A random polynomial in x_lo..x_hi, b and the y's, symmetrized over x_lo..x_hi."""
     m = hi - lo + 1
-    p = random_polynomial(VariableUniverse(m, universe.n_y), rng, max_terms=3, nonzero=True)
+    p = random_polynomial(VariableUniverse(m, universe.n_y), rng, max_terms=max_terms, nonzero=True)
     targets = ([lo + v for v in w] for w in permutations(range(m)))
     return poly_sum(universe, (relabel(universe, p, w) for w in targets))
 
@@ -97,16 +99,26 @@ def relabel(universe: VariableUniverse, p: Polynomial, targets) -> Polynomial:
     return p.substitute(bindings, universe=universe)
 
 
+def side_value(universe: VariableUniverse, side) -> Polynomial:
+    """d_v of a side (factors, block sizes): the factors multiplied out and
+    pushed forward by the reference, merging the blocks one at a time."""
+    factors, sizes = side
+    F, n = poly_prod(universe, factors), sizes[0]
+    for m in sizes[1:]:
+        F, n = push_forward(F, n + m, n), n + m
+    return F
+
+
 def case_sides(identity: str, params: dict, builder=g_tableau) -> tuple[Polynomial, Polynomial]:
-    """The two sides of a case, from the lookup run_case uses: for a subset
-    sum, G_mu and d_v F, with F formed from its factors and pushed forward
-    by the reference."""
-    _, U, lhs, rhs, k = identities._case(identity, params, builder)
-    return lhs, (rhs if k is None else push_forward(poly_prod(U, rhs), U.n_x, k))
+    """The two sides of a case, from the lookup run_case uses, each pushed
+    forward by the reference: for a subset sum, G_mu and d_v F."""
+    _, U, lhs, rhs = identities._case(identity, params, builder)
+    return side_value(U, lhs), side_value(U, rhs)
 
 
 def cleared_sides(identity: str, params: dict, builder=g_tableau) -> tuple[Polynomial, Polynomial]:
-    """V*G_mu and V*d_v F of a GM/FNR case, V = prod_{i<j}(x_i - x_j)."""
+    """The two sides of a case times V = prod_{i<j}(x_i - x_j): V*G_mu and
+    V*d_v F for a subset sum."""
     lhs, rhs = case_sides(identity, params, builder)
     V = lhs.universe.vandermonde(range(1, lhs.universe.n_x + 1))
     return lhs * V, rhs * V

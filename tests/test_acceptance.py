@@ -6,10 +6,11 @@ randomized check runs under the fixed seed below.
 
 Criterion 4 note: its zero-case clause (shifted shapes with a negative
 part must verify) is asserted as stated.  There the left side is the
-determinant quotient of the zero-padded shifted index (see the
-verify_gm_type docstring), a multiple of beta in general (-b at lam=(0),
-n=2, k=1) that matches the subset sum; the classical beta=0 instances of
-the same zero cases, where that quotient vanishes, are criterion 7.
+determinant quotient of the zero-padded shifted index, read from its
+diagonal columns (see the verify_gm_type docstring), a multiple of beta in
+general (-b at lam=(0), n=2, k=1) that matches the subset sum; the
+classical beta=0 instances of the same zero cases, where that quotient
+vanishes, are criterion 7.
 """
 
 import random
@@ -124,16 +125,31 @@ def test_criterion_4_gm_type_grid():
         ok,
         f"main grid failures: {len(main_failures)}; zero-case failures: "
         f"{len(failures) - len(main_failures)} of {zero_cases} "
-        "(zero cases take G_mu from g_determinant, see verify_gm_type docstring)",
+        "(zero cases read G_mu from its determinant columns, see verify_gm_type docstring)",
         elapsed,
     )
     assert elapsed < 300
     assert not main_failures, f"non-zero-case grid points failed: {main_failures}"
     assert not failures, (
-        "zero-case grid points failed: their left side g_determinant(mu, n) * V "
+        "zero-case grid points failed: their left side det(f_j(x_i)) = V * G_mu "
         "should equal the cleared subset sum "
         f"(failing points: {failures[:5]}... total {len(failures)})"
     )
+
+
+def test_criterion_4_zero_cases_at_n_5():
+    # The GM grid at n = 5 (max part 3) has 125 cases.  Its 49 zero cases run
+    # here, each read from its determinant columns.  Of the other 76, lam =
+    # (3,3,2,1) runs in the spot checks below; the 56 with k = n (about 380 s
+    # through g_tableau) and the other 19 k < n cases (about 6 s) run in no
+    # test (ROADMAP item 4), and grothpoly suite stops at n = 4.
+    zero_cases = [
+        params for _, params in grid_gm_type(ns=(5,), max_part=3)
+        if params["lam"][-1] - 5 + len(params["lam"]) < 0
+    ]
+    assert len(zero_cases) == 49
+    for params in zero_cases:
+        assert run_case("gm_type", params).passed, params
 
 
 def test_criterion_5_fnr_type_grid():

@@ -8,6 +8,7 @@ import pytest
 from grothpoly import (
     EmbeddingError,
     GrassmannianPermutation,
+    InvalidPartitionError,
     InvalidShapeError,
     Partition,
     UniverseMismatchError,
@@ -111,12 +112,11 @@ def test_g_determinant_overflow_shape_rejected():
 
 
 def test_g_determinant_non_partition_index():
-    # det[[1, 1+b x1], [1, 1+b x2]] / (x1 - x2) = -b, with or without the padding
-    g = g_determinant((-1,), 2)
-    assert g == -g.universe.beta()
-    assert g_determinant((-1, 0), 2) == g
-    for bad in [(-2,), (0, -1), (-1, 0, 0)]:  # lam_j + n - j < 0, or length > n
-        with pytest.raises(InvalidShapeError):
+    # g_determinant takes partitions only; a GM zero case reads its
+    # non-partition mu from the determinant's columns instead (its value,
+    # -b at mu = (-1, 0), is checked in test_identities)
+    for bad in [(-1,), (-1, 0), (-2,), (0, -1), (-1, 0, 0)]:
+        with pytest.raises(InvalidPartitionError):
             g_determinant(bad, 2)
 
 
@@ -128,8 +128,6 @@ def test_g_determinant_against_sympy_quotient():
     box = [(), (1,), (2,), (1, 1), (2, 1), (2, 2)]
     cases = [(lam, n) for n in (1, 2, 3) for lam in box if len(lam) <= n]
     cases += [((1,), 4), ((1, 1, 1), 4)]
-    # non-partition indices of the kind the GM grid's zero cases pass in
-    cases += [((-1, 0), 2), ((1, -1), 3), ((2, -1), 3), ((0, 0, -1), 4), ((-3,), 4)]
     for index, n in cases:
         e = [p + n - 1 - j for j, p in enumerate(tuple(index) + (0,) * (n - len(index)))]
         names = ["b"] + [f"x{i}" for i in range(1, n + 1)]
@@ -162,8 +160,6 @@ def test_g_determinant_against_sympy_quotient():
             {tuple(exps.get(v, 0) for v in names): c for exps, c in g.terms_sorted()}
         )
         assert quotient == mine, (index, n)
-        if index == (-1, 0):
-            assert quotient == -b
 
 
 def test_grassmannian_from_partition():

@@ -4,6 +4,7 @@ import random
 from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 
@@ -43,6 +44,7 @@ from helpers import (
     random_polynomial,
     relabel,
     schur_oracle,
+    side_value,
     skewed_builder,
 )
 
@@ -175,20 +177,20 @@ def test_alternant_coords_of_block_factors():
                 a = block_factor(U, rng, 1, k)
                 b = block_factor(U, rng, k + 1, n)
                 want = decreasing_terms(V * push_forward(a * b, n, k), n)
-                assert alternant_coords(a, n, k, b) == want, (n, k)
+                assert alternant_coords((a, b), (k, n - k)) == want, (n, k)
 
 
 @pytest.mark.parametrize("builder", [g_tableau, perturbed_builder])
 def test_alternant_coords_of_both_sides_on_the_grid(builder):
-    # what _finish compares, against the reference push-forward of F = A*B times V
+    # what _finish compares, against the reference push-forward of each side's
+    # factors (F = A*B, G_mu, or a zero case's columns) times V
     for identity, params in _SUBSET_SUM_CASES:
-        _, U, lhs, factors, k = identities._case(identity, params, builder)
+        _, U, lhs, rhs = identities._case(identity, params, builder)
         n = U.n_x
         V = U.vandermonde(range(1, n + 1))
-        want = decreasing_terms(V * push_forward(poly_prod(U, factors), n, k), n)
-        a, *b = factors
-        assert alternant_coords(a, n, k, *b) == want, (identity, params)
-        assert alternant_coords(lhs, n) == decreasing_terms(V * lhs, n), (identity, params)
+        for side in lhs, rhs:
+            want = decreasing_terms(V * side_value(U, side), n)
+            assert alternant_coords(*side) == want, (identity, params)
 
 
 _BUILDER_CASES = _SUBSET_SUM_CASES + [
@@ -235,10 +237,10 @@ def test_g_mu_symmetry_is_checked_on_passing_coordinates():
         ("gm_type", {"lam": [1], "n": 2}),
         ("fnr_type", {"lam": [1], "m": 3, "n": 3}),
     ]:
-        _, U, lhs, (a, b), k = identities._case(identity, params, _square_xn_builder)
+        _, U, ((g_mu,), _), rhs = identities._case(identity, params, _square_xn_builder)
         n = U.n_x
         V = U.vandermonde(range(1, n + 1))
-        assert decreasing_terms(V * lhs, n) == alternant_coords(a, n, k, b), identity
+        assert decreasing_terms(V * g_mu, n) == alternant_coords(*rhs), identity
         with pytest.raises(PreconditionViolatedError) as exc:
             run_case(identity, params, builder=_square_xn_builder)
         message = f"the builder's G_mu for {identity} is not symmetric"
@@ -278,7 +280,7 @@ def test_verdicts_below_k_equal_n_never_form_f(monkeypatch):
     # F = A*B has 89,268 terms at fnr_type lam=(1) m=4 n=4; the verdict reads
     # its coordinates from A and B, and no product it takes comes near F
     params = {"lam": [1], "m": 4, "n": 4}
-    _, U, _, factors, _ = identities._case("fnr_type", params, g_tableau)
+    _, U, _, (factors, _) = identities._case("fnr_type", params, g_tableau)
     assert poly_prod(U, factors).num_terms == 89268
     sizes = []
     poly_dot = poly_module.poly_dot
@@ -301,9 +303,9 @@ def test_symmetry_guard_rejects_a_g_mu_failing_only_the_last_swap():
     for n in range(2, 5):
         U = VariableUniverse(n, 1)
         p = poly_prod(U, (U.circle_plus(i, 1) for i in range(1, n)))
-        alternant_coords(p, n - 1)
+        alternant_coords((p,), (n - 1,))
         with pytest.raises(NotSymmetricError, match=f"in x1..x{n}$"):
-            alternant_coords(p, n)
+            alternant_coords((p,), (n,))
         assert all(p.swap_x(i, i + 1) == p for i in range(1, n - 1))
 
 
@@ -361,10 +363,56 @@ def test_gm_zero_case_extension_vanishes_at_beta_zero():
     cases = [p for _, p in grid_gm_type(ns=(2, 3)) if p["lam"][-1] - p["n"] + len(p["lam"]) < 0]
     assert cases
     for params in cases:
+        # G_mu, pushed forward from its determinant columns by the reference
+        g_mu, _ = case_sides("gm_type", params)
+        assert not g_mu.is_zero and g_mu.substitute({"b": 0}).is_zero, params
+
+
+# the 7 GM zero cases at n <= 3, among them mu = (-1, 0), (1, -1) and (2, -1),
+# and two at n = 4: mu = (0, 0, -1) and (-3, 0, 0, 0)
+_ZERO_CASES = [
+    params for _, params in grid_gm_type(ns=(1, 2, 3))
+    if params["lam"][-1] - params["n"] + len(params["lam"]) < 0
+] + [{"lam": [1, 1, 0], "n": 4}, {"lam": [0], "n": 4}]
+
+
+def test_gm_zero_case_coordinates_against_sympy_numerator():
+    # an oracle that shares no code with the package: the numerator
+    # det([x_i|y]^{mu_j+n-j} (1+b x_i)^{j-1}) is expanded (Leibniz) in sympy's
+    # sparse polynomial ring, and its strictly decreasing terms are the
+    # coordinates the zero case's left side must give
+    sympy = pytest.importorskip("sympy")
+    for params in _ZERO_CASES:
         lam, n = params["lam"], params["n"]
         k = len(lam)
-        mu = tuple(part - n + k for part in lam)
-        assert g_determinant(mu, n).substitute({"b": 0}).is_zero, params
+        mu = [p - n + k for p in lam] + [0] * (n - k)
+        e = [p + n - 1 - j for j, p in enumerate(mu)]
+        _, U, lhs, _ = identities._case("gm_type", params, g_tableau)
+        names = ["b"] + [f"x{i}" for i in range(1, n + 1)] + [f"y{t}" for t in range(1, U.n_y + 1)]
+        R, b, *rest = sympy.ring(",".join(names), sympy.ZZ)
+        xs, ys = rest[:n], rest[n:]
+
+        def entry(i, j):
+            out = (1 + b * xs[i]) ** j
+            for t in range(e[j]):
+                out *= xs[i] + ys[t] + b * xs[i] * ys[t]
+            return out
+
+        det = R.zero
+        for perm in permutations(range(n)):
+            inversions = sum(perm[a] > perm[c] for a in range(n) for c in range(a + 1, n))
+            term = R((-1) ** inversions)
+            for i in range(n):
+                term *= entry(i, perm[i])
+            det += term
+        decreasing = lambda exps: all(u > v for u, v in zip(exps[1:n], exps[2 : n + 1]))
+        want = {exps: c for exps, c in det.terms() if decreasing(exps)}
+        coords = alternant_coords(*lhs)
+        assert lhs[1] == (1,) * n and coords.universe.names() == tuple(names), params
+        got = {tuple(exps.get(v, 0) for v in names): c for exps, c in coords.terms_sorted()}
+        assert got == want, params
+        if params == {"lam": [0], "n": 2}:  # G_mu = -b: V*G_mu = -b x1 + b x2, in (b, x1, x2)
+            assert got == {(1, 1, 0): -1}
 
 
 def test_gm_zero_case_universe_and_builders():
@@ -486,10 +534,12 @@ def test_corollaries_honor_builder():
 
 
 def test_vandermonde_lemma():
-    for n in (1, 2, 4):
+    # both sides count n! terms, those of det = V: one alternant coordinate each
+    for n in range(1, 6):
         rep = verify_vandermonde_lemma(n)
         assert rep.passed
-    lhs, _ = case_sides("vandermonde_lemma", {"n": 2})
+        assert (rep.lhs_terms, rep.rhs_terms) == (factorial(n), factorial(n)), n
+    lhs, _ = cleared_sides("vandermonde_lemma", {"n": 2})
     assert lhs == lhs.universe.x(1) - lhs.universe.x(2)
 
 
@@ -538,9 +588,9 @@ def test_classical_tags_count_only_specialized_sides(monkeypatch):
     # keeps b or a y, and no beta-deformed report is built on the way
     counted = []
 
-    def recording(a, n, k=None, b=None):
-        counted.extend(p for p in (a, b) if p is not None)
-        return alternant_coords(a, n, k, b)
+    def recording(factors, sizes):
+        counted.extend(factors)
+        return alternant_coords(factors, sizes)
 
     monkeypatch.setattr(identities, "alternant_coords", recording)
     for identity, params in [
@@ -568,9 +618,9 @@ def test_classical_k_equal_n_specializes_once(monkeypatch):
         images.append(p)
         return classical_image(p)
 
-    def recording_coords(a, n, k=None, b=None):
-        counted.append((a, b))
-        return alternant_coords(a, n, k, b)
+    def recording_coords(factors, sizes):
+        counted.append(factors)
+        return alternant_coords(factors, sizes)
 
     monkeypatch.setattr(identities, "classical_image", recording_image)
     monkeypatch.setattr(identities, "alternant_coords", recording_coords)

@@ -386,33 +386,34 @@ def _symmetrized(universe, p, n):
 
 def test_alternant_coords_hand_cases():
     two = VariableUniverse(2, 1)
-    assert alternant_coords(two.one(), 2) == two.x(1)  # x1 - x2
-    assert alternant_coords(two.x(1) + two.x(2), 2) == two.x(1) ** 2  # x1^2 - x2^2
+    assert alternant_coords((two.one(),), (2,)) == two.x(1)  # x1 - x2
+    assert alternant_coords((two.x(1) + two.x(2),), (2,)) == two.x(1) ** 2  # x1^2 - x2^2
     # k = 1, F = a(x1) b(x2): d_1 x1 = 1 and d_1 1 = 0; d_1 x1^2 = x1 + x2 and
     # d_1 x2^2 = -(x1 + x2)
-    assert alternant_coords(two.x(1), 2, 1) == two.x(1)
-    assert alternant_coords(two.one(), 2, 1).is_zero
-    assert alternant_coords(two.x(1) ** 2, 2, 1) == two.x(1) ** 2
-    assert alternant_coords(two.one(), 2, 1, two.x(2) ** 2) == -two.x(1) ** 2
+    one2 = two.one()
+    assert alternant_coords((two.x(1), one2), (1, 1)) == two.x(1)
+    assert alternant_coords((two.one(), one2), (1, 1)).is_zero
+    assert alternant_coords((two.x(1) ** 2, one2), (1, 1)) == two.x(1) ** 2
+    assert alternant_coords((two.one(), two.x(2) ** 2), (1, 1)) == -two.x(1) ** 2
     # d_1(x1 x2) = 0 (the pair (1, 1) repeats); d_1(x1^2 x2) = x1 x2, and
     # d_1(x1 x2^2) = -x1 x2 (the pair (1, 2) sorts with a sign)
-    assert alternant_coords(two.x(1), 2, 1, two.x(2)).is_zero
-    assert alternant_coords(two.x(1) ** 2, 2, 1, two.x(2)) == two.x(1) ** 2 * two.x(2)
-    assert alternant_coords(two.x(1), 2, 1, two.x(2) ** 2) == -two.x(1) ** 2 * two.x(2)
+    assert alternant_coords((two.x(1), two.x(2)), (1, 1)).is_zero
+    assert alternant_coords((two.x(1) ** 2, two.x(2)), (1, 1)) == two.x(1) ** 2 * two.x(2)
+    assert alternant_coords((two.x(1), two.x(2) ** 2), (1, 1)) == -two.x(1) ** 2 * two.x(2)
     # b's coefficients multiply a's: d_1((1 + b x1) y1) = b y1
     a = two.one() + two.beta() * two.x(1)
-    assert alternant_coords(a, 2, 1, two.y(1)) == two.beta() * two.x(1) * two.y(1)
+    assert alternant_coords((a, two.y(1)), (1, 1)) == two.beta() * two.x(1) * two.y(1)
     # n = 1 and n = 0: the Vandermonde product is 1 and d_v the identity
     one = VariableUniverse(1, 2)
     p = one.circle_plus(1, 2) * one.circle_plus(1, 1)
-    assert alternant_coords(p, 1, 1) == p
-    assert alternant_coords(one.one(), 1, 0, p) == p
-    assert alternant_coords(p, 0, 0) == p  # x1 lies outside both blocks
-    assert alternant_coords(VariableUniverse(0, 2).y(1), 0) == VariableUniverse(0, 2).y(1)
+    assert alternant_coords((p, one.one()), (1, 0)) == p
+    assert alternant_coords((one.one(), p), (0, 1)) == p
+    assert alternant_coords((p, one.one()), (0, 0)) == p  # x1 lies outside both blocks
+    assert alternant_coords((VariableUniverse(0, 2).y(1),), (0,)) == VariableUniverse(0, 2).y(1)
     for universe, n in [(two, 2), (one, 1), (U, 3), (U, 0)]:
         for k in range(n + 1):
-            assert alternant_coords(universe.zero(), n, k).is_zero
-            assert alternant_coords(universe.one(), n, k, universe.zero()).is_zero
+            assert alternant_coords((universe.zero(), universe.one()), (k, n - k)).is_zero
+            assert alternant_coords((universe.one(), universe.zero()), (k, n - k)).is_zero
 
 
 def test_alternant_coords_equal_the_product_counts():
@@ -423,14 +424,14 @@ def test_alternant_coords_equal_the_product_counts():
         V = universe.vandermonde(range(1, n + 1))
         for _ in range(6):
             p = _symmetrized(universe, random_polynomial(universe, rng, max_terms=4), n)
-            coords = alternant_coords(p, n)
+            coords = alternant_coords((p,), (n,))
             assert coords == decreasing_terms(p * V, n)
             assert factorial(n) * coords.num_terms == (p * V).num_terms
     # a cancelling case: e_1 * V has fewer terms than the pairs of factors
     U3 = VariableUniverse(3, 1)
     e1 = U3.x(1) + U3.x(2) + U3.x(3)
     V3 = U3.vandermonde([1, 2, 3])
-    assert 6 * alternant_coords(e1, 3).num_terms == (e1 * V3).num_terms
+    assert 6 * alternant_coords((e1,), (3,)).num_terms == (e1 * V3).num_terms
     assert (e1 * V3).num_terms < e1.num_terms * V3.num_terms
     # symmetric in x_1..x_n only, inside a universe with more x's
     big = VariableUniverse(4, 1)
@@ -440,31 +441,93 @@ def test_alternant_coords_equal_the_product_counts():
             sym = _symmetrized(small, random_polynomial(small, rng, max_terms=4), n)
             p = relabel(big, sym, range(1, n + 1)) * (big.x(4) + big.beta())
             product = p * big.vandermonde(range(1, n + 1))
-            assert alternant_coords(p, n) == decreasing_terms(product, n)
+            assert alternant_coords((p,), (n,)) == decreasing_terms(product, n)
+
+
+def _sign(w):
+    return -1 if sum(a > b for i, a in enumerate(w) for b in w[i + 1 :]) % 2 else 1
+
+
+def _column(rng):
+    """A polynomial in x1, b and y1 with four distinct x1 exponents out of 0..5."""
+    one = VariableUniverse(1, 1)
+    exps = (
+        {"x1": e, "b": rng.randint(0, 1), "y1": rng.randint(0, 1)}
+        for e in rng.sample(range(6), 4)
+    )
+    return poly_sum(one, (one.monomial(rng.choice([-3, -2, -1, 1, 2, 3]), e) for e in exps))
+
+
+def test_alternant_coords_of_one_x_blocks_are_the_determinant():
+    # columns f_j(x_j), each a random polynomial in one x, b and y1: the
+    # coordinates are the strictly decreasing terms of det(f_j(x_i))
+    rng = random.Random(23)
+    for n in range(1, 5):
+        universe = VariableUniverse(n, 1)
+        for _ in range(3):
+            bases = [_column(rng) for _ in range(n)]
+            columns = [relabel(universe, f, [j]) for j, f in enumerate(bases, 1)]
+            rows = [[relabel(universe, f, [i]) for f in bases] for i in range(1, n + 1)]
+            want = decreasing_terms(determinant(rows), n)
+            assert alternant_coords(columns, (1,) * n) == want, n
+
+
+def test_alternant_coords_of_mixed_blocks_against_antisymmetrization():
+    # V * d_v F is the antisymmetrization sum_w sign(w) w(F x^delta) over S_n,
+    # delta the staircase (m-1, ..., 0) inside each block of m x's
+    rng = random.Random(29)
+    for sizes in [(1, 2), (2, 1), (2, 1, 1), (0, 2), (1, 0, 2)]:
+        n = sum(sizes)
+        universe = VariableUniverse(n, 1)
+        stair, lo = universe.one(), 1
+        for m in sizes:
+            for i in range(m):
+                stair = stair * universe.x(lo + i) ** (m - 1 - i)
+            lo += m
+        for _ in range(3):
+            factors, lo = [], 1
+            for m in sizes:
+                factors.append(block_factor(universe, rng, lo, lo + m - 1, max_terms=6))
+                lo += m
+            F = poly_prod(universe, factors) * stair
+            antisymmetrized = poly_sum(
+                universe,
+                (_sign(w) * relabel(universe, F, w) for w in permutations(range(1, n + 1))),
+            )
+            want = decreasing_terms(antisymmetrized, n)
+            assert alternant_coords(factors, sizes) == want, sizes
 
 
 def test_alternant_coords_rejects_bad_counts_and_overflow():
-    for n, k in [(-1, None), (4, None), (2, 3), (2, -1)]:
+    for sizes in [(-1,), (4,), (3, -1), (-1, 3)]:
         with pytest.raises(UniverseMismatchError):
-            alternant_coords(U.x(1), n, k)
+            alternant_coords((U.x(1),) + (U.one(),) * (len(sizes) - 1), sizes)
     two = VariableUniverse(2, 0)
     with pytest.raises(UniverseMismatchError):
-        alternant_coords(U.one(), 2, 1, two.x(2))
+        alternant_coords((U.one(), two.x(2)), (1, 1))
+    # one block size per factor
+    for factors, sizes in [((), ()), ((two.one(),), (1, 1)), ((two.one(), two.one()), (2,))]:
+        with pytest.raises(ValueError, match="one block size per factor"):
+            alternant_coords(factors, sizes)
     # each factor lives in its own block of x_1..x_n
-    for a, b in [(two.x(2), None), (two.one(), two.x(1)), (two.x(1) * two.x(2), None)]:
+    for a, b in [(two.x(2), two.one()), (two.one(), two.x(1)), (two.x(1) * two.x(2), two.one())]:
         with pytest.raises(ValueError, match="holds another x"):
-            alternant_coords(a, 2, 1, b)
+            alternant_coords((a, b), (1, 1))
     p = two.x(1) ** 255 + two.x(2) ** 255
     with pytest.raises(DegreeOverflowError):
         p * two.vandermonde([1, 2])
     with pytest.raises(DegreeOverflowError):
-        alternant_coords(p, 2)
-    # at k = 1 the block Vandermonde products are 1: nothing overflows
-    assert alternant_coords(two.x(1) ** 255, 2, 1) == two.x(1) ** 255
-    assert alternant_coords(two.one(), 2, 1, two.x(2) ** 255) == -two.x(1) ** 255
+        alternant_coords((p,), (2,))
+    # in blocks of one x the block Vandermonde products are 1: nothing overflows
+    assert alternant_coords((two.x(1) ** 255, two.one()), (1, 1)) == two.x(1) ** 255
+    assert alternant_coords((two.one(), two.x(2) ** 255), (1, 1)) == -two.x(1) ** 255
     # the factors' degrees add: each fits, their product does not
     with pytest.raises(DegreeOverflowError):
-        alternant_coords(two.x(1) ** 200, 2, 1, two.x(2) ** 100)
+        alternant_coords((two.x(1) ** 200, two.x(2) ** 100), (1, 1))
+    # a third block adds its own staircase degree, 1 for a block of two x's
+    three = VariableUniverse(3, 0)
+    with pytest.raises(DegreeOverflowError):
+        alternant_coords((three.x(1) ** 255, three.one()), (1, 2))
 
 
 def test_str_rendering():
@@ -569,18 +632,19 @@ def test_alternant_coords_rejects_exactly_the_non_symmetric_factors():
                     else:
                         b = _broken_orbit(universe, b, rng, how, lo, hi)
                     if _swap_symmetric(a, 1, k) and _swap_symmetric(b, k + 1, n):
-                        alternant_coords(a, n, k, b)
+                        alternant_coords((a, b), (k, n - k))
                         continue
                     with pytest.raises(NotSymmetricError, match=f"in x{lo}..x{hi}$"):
-                        alternant_coords(a, n, k, b)
+                        alternant_coords((a, b), (k, n - k))
                     raised[how] += 1
     assert all(raised.values()), raised
     # equal groups alone would accept x1^2 without x2^2: the orbit must be complete
     two = VariableUniverse(2, 1)
     for p in (two.x(1) ** 2, two.x(1) ** 2 + two.x(2) ** 2 + two.x(1) ** 2 * two.x(2)):
         with pytest.raises(NotSymmetricError, match="in x1..x2$"):
-            alternant_coords(p, 2)
-    assert alternant_coords(two.x(1) ** 2 + two.x(2) ** 2, 2) == two.x(1) ** 3 - two.x(1) ** 2 * two.x(2)
+            alternant_coords((p,), (2,))
+    p = two.x(1) ** 2 + two.x(2) ** 2
+    assert alternant_coords((p,), (2,)) == two.x(1) ** 3 - two.x(1) ** 2 * two.x(2)
 
 
 def test_rational_point_distinct_x():
