@@ -70,6 +70,14 @@ def test_compute_bad_shape_exit_2(capsys):
     assert "error:" in err and "weakly decreasing" in err
 
 
+@pytest.mark.parametrize("method", ["tableau", "determinant", "divided-difference", "all"])
+def test_compute_nonpositive_n_exit_2(capsys, method):
+    for n in ("0", "-1"):
+        code, out, err = run_cli(capsys, "compute", "--shape", "", "--n", n, "--method", method)
+        assert (code, out) == (2, ""), (method, n)
+        assert err == "error: n must be a positive integer\n", (method, n)
+
+
 def test_tableaux_json_order(capsys):
     code, out, _ = run_cli(capsys, "tableaux", "--shape", "2,1", "--n", "2")
     assert code == 0

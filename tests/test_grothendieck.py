@@ -64,10 +64,11 @@ def test_g_tableau_matches_stream_sum():
 
 
 def test_g_tableau_errors():
-    with pytest.raises(ValueError, match="n must be a positive integer"):
-        g_tableau((1,), 0)
-    with pytest.raises(ValueError, match="n must be a positive integer"):
-        g_tableau((), 0)
+    # every builder rejects n < 1 alike, before it builds a universe
+    for builder in (g_tableau, g_determinant, g_divided_difference):
+        for lam, n in [((1,), 0), ((), 0), ((), -1), ((2, 1), -1)]:
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                builder(lam, n)
     # a universe without some x_t or y_{t+c} a tableau needs
     for lam, n, U in [((2, 1), 3, VariableUniverse(2, 4)), ((2, 1), 2, VariableUniverse(2, 1))]:
         with pytest.raises(UniverseMismatchError, match="weight needs x"):
@@ -100,6 +101,12 @@ def test_g_tableau_matches_determinant_at_four_variables():
         assert g_tableau(lam, 4) == g_determinant(lam, 4), lam
 
 
+def test_g_tableau_matches_determinant_at_five_variables():
+    # the north star's n, on shapes whose n = 5 builds stay small
+    for lam in [(1,), (1, 1), (2,), (2, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1, 1)]:
+        assert g_tableau(lam, 5) == g_determinant(lam, 5), lam
+
+
 def test_g_determinant_matches_tableau():
     assert g_determinant((2, 1), 2) == g_tableau((2, 1), 2)
     assert g_determinant((2, 1), 3) == g_tableau((2, 1), 3)
@@ -111,7 +118,7 @@ def test_g_determinant_overflow_shape_rejected():
         g_determinant((1, 1, 1), 2)
 
 
-def test_g_determinant_non_partition_index():
+def test_g_determinant_rejects_non_partition_index():
     # g_determinant takes partitions only; a GM zero case reads its
     # non-partition mu from the determinant's columns instead (its value,
     # -b at mu = (-1, 0), is checked in test_identities)
