@@ -1,33 +1,36 @@
 """Exact verification of the subset-sum identity family.
 
 Every identity here relates a factorial Grothendieck polynomial G_mu to a
-sum over k-subsets S of [n] of sigma_S(F) / prod_{i in S, j notin S}(x_i - x_j),
-where sigma_S relabels x_1..x_k onto x_S and x_{k+1}..x_n onto the
-complement of S, both in increasing order, and F = A(x_1..x_k) B(x_{k+1}..x_n)
-is a product of two factors, each symmetric in its own block of x's:
+sum over k-subsets S of [n], with one-x factors h, q and a sign e,
 
-    GM:  A = G_lam(x_1..x_k|y),  B = prod_{j>k}(1+b x_j)^k
-    FNR: A = (-1)^{k(n-k)} G_lam(x_1..x_k|y) prod_{i<=k}(1+b x_i)^{n-k},
-         B = prod_{j>k}[x_j|y]^m
+    G_mu = sum_S e G_lam(x_S|y) prod_{i in S} h(x_i) prod_{j notin S} q(x_j)
+           / prod_{i in S, j notin S}(x_i - x_j):
+    GM:  mu = (lam_i - n + k),     h = 1,             q = (1+b x)^k, e = 1
+    FNR: mu = (m-k,...,m-k, lam),  h = (1+b x)^{n-k}, q = [x|y]^m,   e = (-1)^{k(n-k)}
 
-(the sign turns the FNR cross product (x_j - x_i) into (x_i - x_j)).  For
-such an F the subset sum is the divided difference d_v F, with v the
-longest minimal coset representative of S_n/(S_k x S_{n-k}): the Gysin
-formula of a Grassmannian bundle (Fulton-Pragacz, Schubert Varieties and
-Degeneracy Loci, LNM 1689).  V*d_v F, V = prod_{i<j}(x_i - x_j), is
-alternating, and a verdict compares its alternant coordinates (Macdonald,
-Symmetric Functions, I.3) with those of V*G_mu.
+(e turns the FNR cross product (x_j - x_i) into (x_i - x_j)).  The summand
+is sigma_S(F), F = A(x_1..x_k) B(x_{k+1}..x_n), A = G_lam prod_{i<=k}
+h(x_i), B = e prod_{j>k} q(x_j), with sigma_S moving x_1..x_k onto x_S and
+x_{k+1}..x_n onto the complement, both in increasing order.  So the sum is
+the divided difference d_v F, v the longest minimal coset representative of
+S_n/(S_k x S_{n-k}): the Gysin formula of a Grassmannian bundle
+(Fulton-Pragacz, Schubert Varieties and Degeneracy Loci, LNM 1689).  V*d_v F,
+V = prod_{i<j}(x_i - x_j), is alternating, and a verdict compares its
+alternant coordinates (Macdonald, Symmetric Functions, I.3) with V*G_mu's.
 
 Every side is (factors, block sizes): d_v of the factors' product, factor i
-in the i-th run of consecutive x's.  F's side is ((A, B), (k, n-k)), G_mu's
-((G_mu,), (n,)), one object for both at k = n.  In a GM zero case (mu has a
-negative part) G_mu's side is the diagonal columns f_j(x_j) of its
-determinant quotient in n blocks of one x: V*d_{w0} of their product is
-det(f_j(x_i)) = V*G_mu.  The Vandermonde lemma compares those columns at
-lam = empty with ((1,), (n,)); the e_beta recurrence compares two sides in
-no x, (p,) in (0,).  alternant_coords reads every side, folding its blocks'
-coordinates: no side is multiplied out, and there is no divided difference,
-no determinant expansion and no sum over subsets.
+in the i-th run of consecutive x's.  G_mu's side is ((G_mu,), (n,)), one
+object with F's at k = n.  Below k = n, F's side is ((A, c_{k+1}, ..., c_n),
+(k, 1, ..., 1)), with the columns c_j = x_j^{n-j} q(x_j) and e on c_{k+1}:
+as V_B B = e det(x_i^{n-k-j} q(x_i)), V_B = prod_{k<i<j}(x_i - x_j) (the
+Vandermonde lemma), they push forward as B does: B is never formed.  A mu
+with a negative part (a GM zero case) has no tableaux; its side is its
+determinant quotient's diagonal columns f_j(x_j) in n blocks of one x, as
+V*d_{w0} of their product is det(f_j(x_i)) = V*G_mu.  The Vandermonde lemma
+compares those columns at lam = empty with ((1,), (n,)); the e_beta
+recurrence compares two sides in no x, (p,) in (0,).  alternant_coords reads
+every side, folding its blocks' coordinates: no side is multiplied out, and
+no divided difference, determinant expansion or subset sum is taken.
 
 A builder is called as builder(shape, n, universe=U) and must build G in
 x_1..x_n of any U with U.n_x >= n; G_lam is built so, in the n-variable
@@ -252,38 +255,42 @@ def _as_lam(lam) -> tuple[int, ...]:
     return lam
 
 
-# --------------------------------------------------------------------------
-# Gustafson-Milne family
-
-
 def _one_plus_bx(universe: VariableUniverse, i: int) -> Polynomial:
     return universe.one() + universe.beta() * universe.x(i)
 
 
+def _subset_sum_sides(U, lam, mu, builder, q, h=None, sign=1):
+    """(U, G_mu's side, F's side) of the module docstring's identity in U."""
+    n, k = U.n_x, len(lam)
+    a = restrict(builder, Partition(lam), range(1, k + 1), U)
+    if k == n:  # v is the identity and mu = lam: one build, and F is G_mu
+        side = ((a,), (n,))
+        return U, side, side
+    if mu and mu[-1] < 0:  # no tableaux: V*G_mu is det(f_j(x_i))
+        lhs = (determinant_columns(mu, n, U), (1,) * n)
+    else:
+        lhs = ((builder(mu, n, universe=U),), (n,))
+    if h is not None:
+        a = a * poly_prod(U, (h(i) for i in range(1, k + 1)))
+    signs = (sign,) + (1,) * (n - k - 1)
+    columns = [U.monomial(e, {f"x{j}": n - j}) * q(j) for j, e in enumerate(signs, k + 1)]
+    return U, lhs, ((a, *columns), (k,) + (1,) * (n - k))
+
+
+# --------------------------------------------------------------------------
+# Gustafson-Milne family
+
+
 def _gm_sides(lam, n, builder):
-    """(universe, G_mu's side, F's side): F = A*B in blocks of k and n-k x's,
-    A = G_lam(x_1..x_k|y) and B = prod_{j>k}(1+b x_j)^k; at k = n one side,
-    ((G_mu,), (n,)), is both."""
+    """The GM-type sides: mu = (lam_i - n + k), h = 1, q = (1+b x)^k."""
     k = len(lam)
     if not 0 <= k <= n or n < 1:
         raise PreconditionViolatedError(f"need 0 <= k <= n, got k={k}, n={n}")
-    lam1 = lam[0] if lam else 0
-    shifted = tuple(part - n + k for part in lam)
-    zero_case = bool(k) and shifted[-1] < 0
-    # the zero-padded columns of the determinant reach [x|y]^(n-k-1)
-    U = VariableUniverse(n, max(lam1 + k - 1, n - k - 1 if zero_case else 0, 0))
-    g = restrict(builder, Partition(lam), range(1, k + 1), U)
-    if k == n:  # v is the identity and mu = lam: one build, and F is G_mu
-        side = ((g,), (n,))
-        return U, side, side
-    if zero_case:
-        # no tableaux exist for a non-partition index: V*G_mu is the determinant
-        # numerator, the push-forward of its diagonal columns through n blocks
-        lhs = (determinant_columns(shifted, n, U), (1,) * n)
-    else:
-        lhs = ((builder(shifted, n, universe=U),), (n,))
-    tail = poly_prod(U, (_one_plus_bx(U, j) ** k for j in range(k + 1, n + 1)))
-    return U, lhs, ((g, tail), (k, n - k))
+    mu = tuple(part - n + k for part in lam)
+    # a negative mu's zero-padded columns reach [x|y]^(n-k-1)
+    n_y = max(lam[0] + k - 1 if lam else 0, n - k - 1 if mu and mu[-1] < 0 else 0)
+    U = VariableUniverse(n, n_y)
+    return _subset_sum_sides(U, lam, mu, builder, q=lambda j: _one_plus_bx(U, j) ** k)
 
 
 def _gm_case(lam, n, builder):
@@ -294,13 +301,11 @@ def _gm_case(lam, n, builder):
 def verify_gm_type(lam: Sequence[int], n: int, *, builder=g_tableau, **opts) -> IdentityReport:
     """G_{(lam_i - n + k)}(x|y) = sum_S G_lam(x_S|y) prod_{j notin S}(1+b x_j)^k / cross(S).
 
-    When lam_k - n + k < 0 the shifted index mu is not a partition and has
-    no tableaux; the left side is then G_mu := det(f_j(x_i)) / V, the
-    determinant quotient of the zero-padded mu, whatever the builder, read
-    from its diagonal columns f_j(x_j) = [x_j|y]^{mu_j+n-j} (1+b x_j)^{j-1}.
-    It is a multiple of beta (-b at lam=(0), n=2, k=1) and vanishes at
-    beta = 0, where the numerator has two equal columns: the classical
-    convention of the classical_gm tag.
+    When lam_k - n + k < 0, mu has no tableaux, and whatever the builder
+    G_mu := det(f_j(x_i)) / V, f_j(x) = [x|y]^{mu_j+n-j} (1+b x)^{j-1}, the
+    determinant quotient of the zero-padded mu: a multiple of beta (-b at
+    lam=(0), n=2, k=1) that vanishes at beta = 0, where the numerator has two
+    equal columns (the classical convention of the classical_gm tag).
     """
     return run_case("gm_type", {"lam": lam, "n": n}, builder=builder, **opts)
 
@@ -338,9 +343,8 @@ def verify_louck_general(m: int, n: int, *, builder=g_tableau, **opts) -> Identi
 
 
 def _fnr_sides(lam, m, n, builder):
-    """(universe, G_mu's side, F's side): F = A*B in blocks of k and n-k x's,
-    A = (-1)^{k(n-k)} G_lam(x_1..x_k|y) prod_{i<=k}(1+b x_i)^{n-k} and
-    B = prod_{j>k}[x_j|y]^m; at k = n one side, ((G_mu,), (n,)), is both."""
+    """The FNR-type sides: mu = (m-k,...,m-k, lam), h = (1+b x)^{n-k},
+    q = [x|y]^m, sign (-1)^{k(n-k)}."""
     k = len(lam)
     if not 0 <= k <= n or n < 1:
         raise PreconditionViolatedError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -351,15 +355,9 @@ def _fnr_sides(lam, m, n, builder):
             f"identity asserted only for lam_1 <= m-k (got lam_1={lam[0]}, m-k={m - k})"
         )
     U = VariableUniverse(n, max(m + n - k - 1, 0))
-    g = restrict(builder, Partition(lam), range(1, k + 1), U)
-    if k == n:  # v is the identity and mu = lam: one build, and F is G_mu
-        side = ((g,), (n,))
-        return U, side, side
-    lhs = builder((m - k,) * (n - k) + tuple(lam), n, universe=U)
-    head = poly_prod(U, (_one_plus_bx(U, i) ** (n - k) for i in range(1, k + 1)))
-    tail = poly_prod(U, (U.bracket_pow(j, m) for j in range(k + 1, n + 1)))
-    a = (-g if k * (n - k) % 2 else g) * head
-    return U, ((lhs,), (n,)), ((a, tail), (k, n - k))
+    h, q = lambda i: _one_plus_bx(U, i) ** (n - k), lambda j: U.bracket_pow(j, m)
+    mu = (m - k,) * (n - k) + lam
+    return _subset_sum_sides(U, lam, mu, builder, q, h, (-1) ** (k * (n - k)))
 
 
 def _fnr_case(lam, m, n, builder):

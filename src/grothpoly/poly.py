@@ -184,16 +184,14 @@ class VariableUniverse:
         kb = (1 << sh[0]) | (1 << sh[xi]) | (1 << sh[yj]) | (3 << ds)
         return Polynomial._make(self, {kx: 1, ky: 1, kb: 1}, 3)
 
-    def bracket_pow(self, i: int, q: int, p: int = 0) -> Polynomial:
-        """Product (x_i (+) y_{p+1}) * ... * (x_i (+) y_{p+q}); q=0 gives 1."""
-        if q < 0 or p < 0:
-            raise ValueError("bracket length and shift must be nonnegative")
-        if p + q > self.n_y:
-            raise UniverseMismatchError(
-                f"bracket needs y up to index {p + q}, universe has n_y={self.n_y}"
-            )
+    def bracket_pow(self, i: int, q: int) -> Polynomial:
+        """Product (x_i (+) y_1) * ... * (x_i (+) y_q); q=0 gives 1."""
+        if q < 0:
+            raise ValueError("bracket length must be nonnegative")
+        if q > self.n_y:
+            raise UniverseMismatchError(f"bracket needs y_{q}, universe has n_y={self.n_y}")
         out = self.one()
-        for j in range(p + 1, p + q + 1):
+        for j in range(1, q + 1):
             out = out * self.circle_plus(i, j)
         return out
 
@@ -637,6 +635,9 @@ def _block_coords(p: Polynomial, n: int, lo: int, hi: int) -> dict[tuple, dict[i
         groups.setdefault(head, {})[key - head] = c
     if any(head & others for head in groups):
         raise ValueError(f"a factor of the block x{lo}..x{hi} holds another x of x1..x{n}")
+    if m == 1:  # one x: p is symmetric in it, and V_b * p = p
+        s = block[0]
+        return {(h >> s & _EXP_MASK,): {r + h: v for r, v in g.items()} for h, g in groups.items()}
     asymmetric = f"a factor is not symmetric in x{lo}..x{hi}"
     half = m * (m - 1) // 2 << U._deg_shift  # the degree of delta
     missing: dict[int, int] = {}  # sorted head -> heads of its orbit not yet seen

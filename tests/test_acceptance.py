@@ -140,9 +140,10 @@ def test_criterion_4_gm_type_grid():
 def test_criterion_4_zero_cases_at_n_5():
     # The GM grid at n = 5 (max part 3) has 125 cases.  Its 49 zero cases run
     # here, each read from its determinant columns.  Of the other 76, lam =
-    # (3,3,2,1) runs in the spot checks below; the 56 with k = n (about 380 s
-    # through g_tableau) and the other 19 k < n cases (about 6 s) run in no
-    # test (ROADMAP item 4), and grothpoly suite stops at n = 4.
+    # (3,3,2,1) runs in the spot checks below and the other 19 with k < n in
+    # test_criteria_4_and_5_k_below_n_at_n_5.  The 56 with k = n (about 170 s
+    # in all, almost all of it the g_tableau build of G_lam) run in no test
+    # and stay out of Tier-1 (ROADMAP item 4); grothpoly suite stops at n = 4.
     zero_cases = [
         params for _, params in grid_gm_type(ns=(5,), max_part=3)
         if params["lam"][-1] - 5 + len(params["lam"]) < 0
@@ -150,6 +151,26 @@ def test_criterion_4_zero_cases_at_n_5():
     assert len(zero_cases) == 49
     for params in zero_cases:
         assert run_case("gm_type", params).passed, params
+
+
+_N5_SPOT_CHECKS = [
+    ("gm_type", {"lam": [3, 3, 2, 1], "n": 5}),
+    ("fnr_type", {"lam": [2, 1], "m": 4, "n": 5}),
+]
+
+
+def test_criteria_4_and_5_k_below_n_at_n_5():
+    # The n = 5 GM cases with k < n and a partition mu (19) and the n = 5 FNR
+    # grid (25; every case has k < n), less the two spot checks below.
+    gm = [
+        case for case in grid_gm_type(ns=(5,), max_part=3)
+        if len(case[1]["lam"]) < 5 and case[1]["lam"][-1] - 5 + len(case[1]["lam"]) >= 0
+    ]
+    fnr = grid_fnr_type(ns=(5,), max_m=4)
+    cases = [case for case in gm + fnr if case not in _N5_SPOT_CHECKS]
+    assert len(cases) == 19 + 25
+    for identity, params in cases:
+        assert run_case(identity, params).passed, (identity, params)
 
 
 def test_criterion_5_fnr_type_grid():
@@ -169,10 +190,7 @@ def test_criterion_5_fnr_type_grid():
 def test_criteria_4_and_5_spot_checks_at_n_5():
     # two heavy n = 5 cases, with the cleared-side counts measured before the
     # right side was read from F's factors
-    for identity, params, terms in [
-        ("gm_type", {"lam": [3, 3, 2, 1], "n": 5}, 1145040),
-        ("fnr_type", {"lam": [2, 1], "m": 4, "n": 5}, 184800),
-    ]:
+    for (identity, params), terms in zip(_N5_SPOT_CHECKS, (1145040, 184800)):
         rep = run_case(identity, params)
         assert rep.passed, (identity, params)
         assert (rep.lhs_terms, rep.rhs_terms) == (terms, terms), (identity, params)

@@ -183,7 +183,7 @@ def test_alternant_coords_of_block_factors():
 @pytest.mark.parametrize("builder", [g_tableau, perturbed_builder])
 def test_alternant_coords_of_both_sides_on_the_grid(builder):
     # what _finish compares, against the reference push-forward of each side's
-    # factors (F = A*B, G_mu, or a zero case's columns) times V
+    # factors (A and F's columns, G_mu, or a zero case's columns) times V
     for identity, params in _SUBSET_SUM_CASES:
         _, U, lhs, rhs = identities._case(identity, params, builder)
         n = U.n_x
@@ -191,6 +191,25 @@ def test_alternant_coords_of_both_sides_on_the_grid(builder):
         for side in lhs, rhs:
             want = decreasing_terms(V * side_value(U, side), n)
             assert alternant_coords(*side) == want, (identity, params)
+
+
+def test_subset_sum_sides_are_one_block_or_one_x_columns():
+    # G_mu in one block (a zero case's columns in blocks of one x), F as A in
+    # a block of k x's and n - k one-x columns: no product over j > k is formed;
+    # at k = n one side, G_mu in one block, is both
+    cases = grid_gm_type() + grid_fnr_type() + [
+        case for case in grid_corollaries() if case[0] != "e_beta_recurrence"
+    ]
+    for identity, params in cases:
+        # the block sizes do not depend on what the builder builds
+        _, U, lhs, rhs = identities._case(identity, params, lambda *_, universe: universe.one())
+        n = U.n_x
+        k = len(params["lam"]) if "lam" in params else params.get("k", 1)
+        if k == n:
+            assert lhs is rhs and rhs[1] == (n,), (identity, params)
+            continue
+        assert lhs[1] in ((n,), (1,) * n), (identity, params)
+        assert rhs[1] == (k,) + (1,) * (n - k), (identity, params)
 
 
 _BUILDER_CASES = _SUBSET_SUM_CASES + [
@@ -277,8 +296,10 @@ def test_k_equal_n_builds_g_once():
 
 
 def test_verdicts_below_k_equal_n_never_form_f(monkeypatch):
-    # F = A*B has 89,268 terms at fnr_type lam=(1) m=4 n=4; the verdict reads
-    # its coordinates from A and B, and no product it takes comes near F
+    # F = A*B has 89,268 terms at fnr_type lam=(1) m=4 n=4, and so has the
+    # product of A and F's columns x_j^{n-j} [x_j|y]^m, which differs from F
+    # by the monomial x^(staircase); the verdict reads its coordinates from A
+    # and the columns, and no product it takes comes near F
     params = {"lam": [1], "m": 4, "n": 4}
     _, U, _, (factors, _) = identities._case("fnr_type", params, g_tableau)
     assert poly_prod(U, factors).num_terms == 89268
@@ -628,7 +649,7 @@ def test_classical_k_equal_n_specializes_once(monkeypatch):
     assert len(images) == 1 and len(counted) == 1
     images.clear()
     assert run_case("classical_fnr", {"lam": [1], "m": 3, "n": 3}).passed
-    assert len(images) == 3  # below k = n, G_mu and F's two factors
+    assert len(images) == 4  # below k = n, G_mu, A and F's n - k = 2 columns
 
 
 def test_classical_louck_value():

@@ -87,7 +87,6 @@ def test_circle_plus():
 def test_bracket_pow():
     assert U.bracket_pow(1, 0) == 1
     assert U.bracket_pow(1, 2) == U.circle_plus(1, 1) * U.circle_plus(1, 2)
-    assert U.bracket_pow(2, 1, p=1) == U.x(2) + U.y(2) + U.beta() * U.x(2) * U.y(2)
     with pytest.raises(UniverseMismatchError):
         U.bracket_pow(1, 5)
 
