@@ -845,7 +845,12 @@ class RationalPoint:
 
 
 def random_rational_point(universe, rng, *, distinct_x: bool = True) -> RationalPoint:
-    """Seeded random point; x coordinates pairwise distinct when requested."""
+    """Seeded random point; x coordinates pairwise distinct when requested.
+
+    Every coordinate is p/q with |p| <= 9 and 1 <= q <= 9, one of 111
+    values, so more than 111 distinct x's raise ValueError."""
+    if distinct_x and universe.n_x > 111:
+        raise ValueError(f"cannot draw {universe.n_x} distinct x's from 111 values")
 
     def frac():
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))

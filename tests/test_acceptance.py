@@ -229,7 +229,7 @@ def test_criterion_7_classical_specializations():
     rep = run_case("classical_louck", {"m": 3, "n": 2})
     assert rep.passed
     elapsed = time.perf_counter() - t0
-    announce(7, True, "beta=0 (and y=0) grids, 100-point Good checks, Louck (3,2)", elapsed)
+    announce(7, True, "beta=0 (and y=0) grids, Good reciprocal as FNR lam=(0) m=1, Louck (3,2)", elapsed)
 
 
 def test_criterion_8_schur_oracle():

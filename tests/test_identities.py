@@ -671,6 +671,33 @@ def test_classical_good_reciprocal_spot_value():
     assert 1 / (1 - x2 / x1) == Fraction(-2, 3)
     rep = run_case("classical_good", {"n": 2, "trials": 100, "seed": 7})
     assert rep.passed
+    # its sides are the classical FNR case lam = (0), m = 1: d_v of 1 * (-x2)
+    # in blocks (1, 1), whose two terms are -x2/(x1 - x2) and -x1/(x2 - x1)
+    _, U, lhs, rhs = identities._case("classical_fnr", {"lam": [0], "m": 1, "n": 2}, g_tableau)
+    assert lhs == ((U.one(),), (2,)) and rhs == ((U.one(), -U.x(2)), (1, 1))
+
+
+def test_classical_good_reciprocal_form_runs_through_the_builder():
+    # a builder that doubles G_empty in one variable breaks only the
+    # reciprocal form's A = G_(0)(x_i), not the good_general image
+    def doubled_empty(shape, n, *, universe=None):
+        g = g_tableau(shape, n, universe=universe)
+        return g + g if n == 1 and not any(shape) else g
+
+    assert run_case("good_general", {"n": 3}, builder=doubled_empty).passed
+    params = {"n": 3, "trials": 5, "seed": 1}
+    rep = run_case("classical_good", params, builder=doubled_empty)
+    assert rep.verdict == "fail" and rep.params == params
+    passing = run_case("classical_good", params)
+    assert (rep.lhs_terms, rep.rhs_terms) == (passing.lhs_terms, passing.rhs_terms)
+    # the witness lies in the FNR universe and separates the reciprocal sides
+    w = rep.witness
+    assert w is not None and (len(w.xs), len(w.ys)) == (3, 2)
+    assert run_case("classical_good", params, builder=doubled_empty).witness == w
+    lhs, rhs = cleared_sides("classical_fnr", {"lam": [0], "m": 1, "n": 3}, doubled_empty)
+    assert lhs.eval_rational(w) != rhs.eval_rational(w)
+    rep = run_case("classical_good", {**params, "trials": 0}, builder=doubled_empty)
+    assert rep.verdict == "fail" and rep.witness is None
 
 
 def test_specialization_coherence_gm_termwise():
@@ -747,14 +774,16 @@ def test_fast_path_inside_verifier():
 
 def test_passing_verdict_evaluates_no_point(monkeypatch):
     def no_sampling(*args, **kwargs):
-        raise AssertionError("fast_check ran although the sides are equal")
+        raise AssertionError("a point was drawn or evaluated although the sides are equal")
 
-    monkeypatch.setattr(identities, "fast_check", no_sampling)
+    for name in ("fast_check", "random_rational_point", "_subset_sum_at"):
+        monkeypatch.setattr(identities, name, no_sampling)
     rep = verify_gm_type((2, 1), 3, fast_trials=20, seed=1)
     assert rep.passed and rep.witness is None
-    for identity, params in [("fnr_type", {"lam": [1], "m": 2, "n": 2}),
-                             ("classical_good", {"n": 3})]:
-        assert run_case(identity, params, fast_trials=20, seed=1).passed
+    cases = [("fnr_type", {"lam": [1], "m": 2, "n": 2}), *_SMALLEST.items()]
+    cases += [("classical_good", {"n": n, "trials": 100, "seed": 0}) for n in (2, 3, 4)]
+    for identity, params in cases:
+        assert run_case(identity, params, fast_trials=20, seed=1).passed, identity
 
 
 # -- report plumbing ---------------------------------------------------------------

@@ -651,3 +651,14 @@ def test_rational_point_distinct_x():
     for _ in range(50):
         pt = random_rational_point(U, rng)
         assert len(set(pt.xs)) == len(pt.xs)
+
+
+def test_rational_point_refuses_more_distinct_x_than_it_can_draw():
+    # p/q with |p| <= 9, 1 <= q <= 9 takes 111 values: all of them can be drawn
+    values = {Fraction(p, q) for p in range(-9, 10) for q in range(1, 10)}
+    pt = random_rational_point(VariableUniverse(111, 0), random.Random(0))
+    assert set(pt.xs) == values
+    with pytest.raises(ValueError, match="112 distinct x's"):
+        random_rational_point(VariableUniverse(112, 0), random.Random(0))
+    pt = random_rational_point(VariableUniverse(112, 0), random.Random(0), distinct_x=False)
+    assert len(pt.xs) == 112
