@@ -8,7 +8,11 @@ Subcommands:
 * ``suite``    -- run the whole default verification grid
 
 ``--fast-trials N`` searches N >= 0 seeded points for a witness when the
-compared sides differ; it never changes a verdict.  Unknown parameters exit 2.
+compared sides differ; it never changes a verdict.  Unknown parameters exit 2,
+and so does an ``--out`` path that cannot be written.
+
+``compute --format json`` prints ``Polynomial.to_json()``, which is
+``json.dumps`` of the polynomial's ``to_json_obj()`` dict form.
 
 Text output is byte-stable for identical arguments and seed; JSON output
 additionally carries elapsed_ms, which naturally varies between runs.
@@ -32,7 +36,7 @@ from .identities import IDENTITY_TAGS, run_case, run_suite
 from .poly import DegreeOverflowError
 from .tableaux import InvalidPartitionError, Partition, enumerate_tableaux
 
-_PARAM_ERRORS = (ValueError, DegreeOverflowError)
+_PARAM_ERRORS = (ValueError, DegreeOverflowError, OSError)
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -66,7 +70,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _render_poly(p, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(p.to_json_obj())
+        return p.to_json()
     if fmt == "latex":
         return p.to_latex()
     return str(p)

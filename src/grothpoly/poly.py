@@ -555,6 +555,36 @@ class Polynomial:
             ],
         }
 
+    def to_json(self) -> str:
+        """``json.dumps(self.to_json_obj())``, written straight from the packed keys.
+
+        Each key splits at the x/y boundary into its [degree | b | x] head and
+        its y tail; each distinct half's ``, "name": e`` fragment is rendered
+        once, so no term builds a dict."""
+        U = self.universe
+        y_bits = _EXP_BITS * U.n_y
+        y_mask = (1 << y_bits) - 1
+
+        def fragment(part, variables, drop):
+            return "".join(
+                f', "{U._names[v]}": {e}'
+                for v in variables
+                if (e := (part >> (U._shifts[v] - drop)) & _EXP_MASK)
+            )
+
+        coeffs, heads, tails = self._terms, {}, {}
+        terms = []
+        for k in sorted(coeffs, reverse=True):
+            h, t = k >> y_bits, k & y_mask
+            hf = heads.get(h)
+            if hf is None:
+                hf = heads[h] = fragment(h, range(U.n_x + 1), y_bits)
+            tf = tails.get(t)
+            if tf is None:
+                tf = tails[t] = fragment(t, range(U.n_x + 1, U.nvars), 0)
+            terms.append(f'{{"coeff": "{coeffs[k]}", "exps": {{{(hf + tf)[2:]}}}}}')
+        return f'{{"universe": {{"n_x": {U.n_x}, "n_y": {U.n_y}}}, "terms": [{", ".join(terms)}]}}'
+
 
 def from_json_obj(obj: Mapping) -> Polynomial:
     """Rebuild a polynomial from its wire form (tolerates unsorted input)."""

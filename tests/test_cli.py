@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -62,6 +63,26 @@ def test_compute_json_round_trip(capsys):
     from grothpoly import from_json_obj, g_tableau
 
     assert from_json_obj(obj) == g_tableau((2, 1), 2)
+    text = json.dumps(g_tableau((2, 1), 2).to_json_obj())
+    assert out == text + "\n"
+    code, out, _ = run_cli(
+        capsys, "compute", "--shape", "2,1", "--n", "2", "--method", "all", "--format", "json"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        f"{name}: {text}" for name in ("tableau", "determinant", "divided-difference")
+    ] + ["methods agree: true"]
+
+
+def test_compute_json_bytes_are_pinned(capsys):
+    # the sha256 of json.dumps's text for this 77,598-term result, which to_json must keep
+    code, out, _ = run_cli(
+        capsys, "compute", "--shape", "3,2", "--n", "4", "--method", "determinant", "--format", "json"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "348971561aa09ccda2640bdc7aed68fb8c919b0fd88655b59f12bd4689aee31f"
+    )
 
 
 def test_compute_bad_shape_exit_2(capsys):
@@ -271,6 +292,22 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["verdict"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "--shape", "2,1", "--n", "2"),
+        ("tableaux", "--shape", "1", "--n", "2"),
+        ("verify", "good_general", "--n", "2"),
+        ("suite",),
+    ],
+)
+def test_unwritable_out_exit_2(monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.setattr(identities, "suite_cases", lambda seed=0: [("good_general", {"n": 2})])
+    code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "x"))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_suite_with_small_grid(monkeypatch, capsys):

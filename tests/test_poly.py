@@ -20,6 +20,8 @@ from grothpoly import (
     determinant,
     exact_div,
     from_json_obj,
+    g_tableau,
+    partitions_in_box,
     poly_dot,
     poly_prod,
     poly_sum,
@@ -543,14 +545,37 @@ def test_latex_rendering():
     assert p.to_latex() == r"\beta^{2} x_{1} - 2 y_{3}"
 
 
+def _json_inputs():
+    # a product of deformed sums; in every universe with n_x <= 3, n_y <= 4:
+    # zero, constants, a lone beta, negative and > 2**64 coefficients;
+    # G_lam over the 3x3 box at n <= 3
+    yield U.circle_plus(1, 1) * U.circle_plus(2, 2) - 7
+    rng = random.Random(27)
+    for n_x in range(4):
+        for n_y in range(5):
+            V = VariableUniverse(n_x, n_y)
+            yield V.zero()
+            yield V.const(-3)
+            yield V.beta()
+            yield -V.beta() + 2**70 + 1
+            for _ in range(4):
+                yield random_polynomial(V, rng, max_terms=8, max_exp=4, max_coeff=2**66)
+    for n in (1, 2, 3):
+        for lam in partitions_in_box(3, 3):
+            yield g_tableau(lam, n)
+
+
 def test_json_round_trip_and_order():
-    p = U.circle_plus(1, 1) * U.circle_plus(2, 2) - 7
-    obj = p.to_json_obj()
-    # canonical order: strictly decreasing in (degree, lex) reading
-    keys = [U.pack(t["exps"]) for t in obj["terms"]]
-    assert keys == sorted(keys, reverse=True)
-    assert all(isinstance(t["coeff"], str) for t in obj["terms"])
-    assert from_json_obj(json.loads(json.dumps(obj))) == p
+    for p in _json_inputs():
+        obj = p.to_json_obj()
+        # canonical order: strictly decreasing in (degree, lex) reading
+        keys = [p.universe.pack(t["exps"]) for t in obj["terms"]]
+        assert keys == sorted(keys, reverse=True)
+        assert all(isinstance(t["coeff"], str) for t in obj["terms"])
+        text = json.dumps(obj)
+        # the text form is the dict form's json.dumps, byte for byte
+        assert p.to_json() == text, p
+        assert from_json_obj(json.loads(text)) == p
 
 
 def test_json_tolerates_unsorted_input():
