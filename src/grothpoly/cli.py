@@ -9,7 +9,8 @@ Subcommands:
 
 ``--fast-trials N`` searches N >= 0 seeded points for a witness when the
 compared sides differ; it never changes a verdict.  Unknown parameters exit 2,
-and so does an ``--out`` path that cannot be written.
+and so does an ``--out`` path that cannot be written; a missing ``--out``
+directory is refused before any work runs.
 
 ``compute --format json`` prints ``Polynomial.to_json()``, which is
 ``json.dumps`` of the polynomial's ``to_json_obj()`` dict form.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .grothendieck import (
@@ -218,6 +220,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise FileNotFoundError(f"--out directory does not exist: {args.out}")
         return args.fn(args)
     except _PARAM_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,10 +10,16 @@ G_lambda(x|y) in n variables is built as
                               V the Vandermonde product, computed as d_{w0}
                               of the numerator's alternant coordinates;
 * ``g_divided_difference`` -- isobaric divided differences applied to the
-                              staircase seed prod_{i+j<=p} (x_i (+) y_j),
-                              driven down the weak order from the longest
-                              permutation of S_p to the Grassmannian
-                              permutation attached to lambda.
+                              seed prod_i [x_i|y]^{c_i}, the Grothendieck
+                              polynomial of the first dominant permutation
+                              (Lehmer code c, lam + (n-1, ..., 0) unless
+                              lam_1 = lam_2) on the smallest-ascent chain
+                              from the Grassmannian permutation of lambda,
+                              and driven back down that chain to it.  The
+                              seed is Fomin-Kirillov's product formula for
+                              dominant permutations (1994); p in S_p is
+                              validated but changes neither the result nor
+                              the work.
 
 All three agree (checked exactly in the test suite).  g_determinant and
 g_divided_difference share the ring's divided difference kernel; g_tableau
@@ -231,29 +237,29 @@ def pi_operator(f: Polynomial, i: int) -> Polynomial:
 
 
 def _ascent_chain(word: tuple[int, ...]) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Words and swap positions from `word` up to the longest permutation.
+    """Words and swap positions from `word` up to its first dominant word.
 
     words[t+1] = words[t] * s_{ops[t]} where ops[t] is the smallest ascent of
-    words[t]; each swap raises the length by one.
+    words[t]; each swap raises the length by one.  The walk stops at the first
+    word whose Lehmer code is weakly decreasing, at the latest at w0.
     """
     words = [word]
     ops = []
     w = list(word)
-    while True:
-        asc = next((i for i in range(1, len(w)) if w[i - 1] < w[i]), None)
-        if asc is None:
-            break
+    while not _is_dominant(_lehmer_code(w)):
+        asc = next(i for i in range(1, len(w)) if w[i - 1] < w[i])
         ops.append(asc)
         w[asc - 1], w[asc] = w[asc], w[asc - 1]
         words.append(tuple(w))
     return words, ops
 
 
-def _staircase_seed(universe: VariableUniverse, p: int) -> Polynomial:
-    out = universe.one()
-    for i in range(1, p):
-        out = out * universe.bracket_pow(i, p - i)
-    return out
+def _lehmer_code(word: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sum(b < a for b in word[i + 1 :]) for i, a in enumerate(word))
+
+
+def _is_dominant(code: Sequence[int]) -> bool:
+    return all(a >= b for a, b in zip(code, code[1:]))
 
 
 def g_divided_difference(
@@ -262,45 +268,35 @@ def g_divided_difference(
     *,
     p: int | None = None,
     universe: VariableUniverse | None = None,
-    cache: dict | None = None,
 ) -> Polynomial:
     """Divided-difference construction through the symmetric group S_p.
 
-    Starting from the seed for the longest permutation, isobaric operators
-    are applied along the (deterministic, smallest-ascent) chain down to the
-    Grassmannian permutation of the shape; the result is returned over the
-    n-variable universe.  `cache` may map intermediate words to polynomials
-    and is shared across calls with equal p.
+    The smallest-ascent chain runs up from the Grassmannian permutation of
+    the shape to its first dominant (132-avoiding) word.  The double
+    Grothendieck polynomial of a dominant permutation with Lehmer code c is
+    prod_i [x_i|y]^{c_i}, the product of x_i (+) y_j over its diagram
+    (Fomin-Kirillov, Grothendieck polynomials and the Yang-Baxter equation,
+    1994); the staircase seed of w0 is the case c = (p-1, ..., 0).  Isobaric
+    operators then run down the chain to the Grassmannian word.  The chain
+    first sorts positions 1..n into decreasing order, reaching the dominant
+    code lam + (n-1, ..., 0) (or stopping earlier when lam_1 = lam_2), so at
+    most n(n-1)/2 steps run, all in x_1..x_n; p is validated (p >= n + lam_1)
+    but changes neither the result nor the work.
     """
     shape = coerce_partition(shape)
     if n < 1:
         raise ValueError("n must be a positive integer")
     lam1 = shape.parts[0] if shape.parts else 0
-    if p is None:
-        p = n + lam1
-    w = grassmannian_from_partition(shape, n, p).word
-    big = VariableUniverse(p, max(p - 1, 0))
+    w = grassmannian_from_partition(shape, n, n + lam1 if p is None else p).word
     words, ops = _ascent_chain(w)
-
-    start = None
-    f = None
-    if cache is not None:
-        for t, word in enumerate(words):
-            if word in cache:
-                start, f = t, cache[word]
-                break
-    if f is None:
-        start = len(words) - 1
-        f = _staircase_seed(big, p)
-        if cache is not None:
-            cache[words[start]] = f
-    for t in range(start - 1, -1, -1):
-        f = pi_operator(f, ops[t])
-        if cache is not None:
-            cache[words[t]] = f
-
     U = universe if universe is not None else default_universe(shape, n)
-    return f.substitute({}, universe=U)
+    f = U.one()
+    for i, c in enumerate(_lehmer_code(words[-1]), 1):
+        if c:
+            f = f * U.bracket_pow(i, c)
+    for i in reversed(ops):
+        f = pi_operator(f, i)
+    return f
 
 
 def restrict(

@@ -304,10 +304,27 @@ def test_out_file(tmp_path, capsys):
     ],
 )
 def test_unwritable_out_exit_2(monkeypatch, tmp_path, capsys, argv):
-    monkeypatch.setattr(identities, "suite_cases", lambda seed=0: [("good_general", {"n": 2})])
+    # a missing directory is refused before any builder, stream or case runs
+    ran = []
+
+    def refuse(*args, **kwargs):
+        ran.append(args)
+        raise AssertionError("work ran before the --out check")
+
+    for name in ("g_tableau", "enumerate_tableaux", "run_case", "run_suite"):
+        monkeypatch.setattr(cli, name, refuse)
     code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "missing" / "x"))
-    assert code == 2 and out == ""
+    assert code == 2 and out == "" and ran == []
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_in_the_working_directory(monkeypatch, tmp_path, capsys):
+    # a bare file name has no directory part: it goes to the working directory
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "compute", "--shape", "1", "--n", "1", "--out", "g.txt")
+    assert code == 0 and out == ""
+    assert (tmp_path / "g.txt").read_text() == "b*x1*y1 + x1 + y1\n"
 
 
 def test_suite_with_small_grid(monkeypatch, capsys):

@@ -25,6 +25,7 @@ from grothpoly import (
     restrict,
     schur,
 )
+from grothpoly.grothendieck import _ascent_chain
 from helpers import random_polynomial, relabel, schur_oracle, tableau_stream_sum
 
 
@@ -237,7 +238,8 @@ def test_g_divided_difference_examples():
     assert g_divided_difference((2, 1), 2, p=4) == g_tableau((2, 1), 2)
     g = g_divided_difference((1,), 1, p=2)
     assert g == g.universe.circle_plus(1, 1)
-    # identity permutation: the full pi chain collapses the seed to 1
+    # the identity permutation is dominant with code 0: the seed is 1 and no
+    # pi step runs
     for n in (1, 2, 3):
         assert g_divided_difference((), n, p=n) == 1
 
@@ -252,12 +254,71 @@ def test_g_divided_difference_embedding_independent():
             assert g_divided_difference(lam, n, p=p) == g_divided_difference(lam, n, p=p + 1)
 
 
-def test_g_divided_difference_cache_shared():
-    cache = {}
-    a = g_divided_difference((2, 1), 2, cache=cache)
-    assert cache  # populated
-    b = g_divided_difference((2, 1), 2, cache=cache)
-    assert a == b == g_divided_difference((2, 1), 2)
+def _lehmer_code(word):
+    return tuple(sum(b < a for b in word[i + 1 :]) for i, a in enumerate(word))
+
+
+def _smallest_ascent_chain(word):
+    """The words from `word` up to the longest permutation, each the last with
+    its smallest ascent swapped, and those ascents."""
+    words, ops, w = [tuple(word)], [], list(word)
+    while any(a < b for a, b in zip(w, w[1:])):
+        asc = next(i for i in range(1, len(w)) if w[i - 1] < w[i])
+        ops.append(asc)
+        w[asc - 1], w[asc] = w[asc], w[asc - 1]
+        words.append(tuple(w))
+    return words, ops
+
+
+def _staircase_reference(words, ops, universe, memo):
+    """The construction from w0 of S_p along the smallest-ascent chain `words`
+    (with its `ops`) from the Grassmannian word to w0: the staircase seed
+    prod_{i+j<=p} (x_i (+) y_j) over (p, p-1) variables, then pi_operator down
+    the whole chain.  `memo` keeps every word's polynomial, so calls with
+    equal p share the top of the chain."""
+    p = len(words[0])
+    big = VariableUniverse(p, p - 1)
+    t = next((t for t, w in enumerate(words) if w in memo), None)
+    if t is None:
+        t = len(words) - 1
+        memo[words[t]] = big.one()
+        for i in range(1, p):
+            for j in range(1, p - i + 1):
+                memo[words[t]] = memo[words[t]] * big.circle_plus(i, j)
+    for s in range(t - 1, -1, -1):
+        memo[words[s]] = pi_operator(memo[words[s + 1]], ops[s])
+    return memo[words[0]].substitute({}, universe=universe)
+
+
+def test_g_divided_difference_equals_the_staircase_chain_from_w0():
+    """The builder seeds at the chain's first dominant word; the old
+    construction seeds at w0 and runs the whole chain.  They agree.  The
+    builder's chain is the full chain cut at its first dominant word, which
+    is the word with code lam + (n-1, ..., 0) that the chain meets once
+    positions 1..n are sorted, or lies below it when lam_1 = lam_2."""
+    memo = {}
+    cases = [(Partition((3, 2)), 3, 6)]
+    for lam in partitions_in_box(3, 3):
+        for n in (1, 2, 3):
+            lam1 = lam.parts[0] if lam.parts else 0
+            if len(lam) <= n and n + lam1 <= 5:
+                cases += [(lam, n, n + lam1), (lam, n, n + lam1 + 1)]
+    for lam, n, p in cases:
+        words, ops = _smallest_ascent_chain(grassmannian_from_partition(lam, n, p).word)
+        reference = _staircase_reference(words, ops, default_universe(lam, n), memo)
+        assert g_divided_difference(lam, n, p=p) == reference, (lam, n, p)
+        codes = [_lehmer_code(w) for w in words]
+        first_dominant = next(t for t, c in enumerate(codes) if list(c) == sorted(c, reverse=True))
+        sorted_code = tuple(a + n - 1 - i for i, a in enumerate(lam.padded(n))) + (0,) * (p - n)
+        top_words, top_ops = _ascent_chain(words[0])
+        assert top_words == words[: first_dominant + 1], (lam, n, p)
+        sorted_at = codes.index(sorted_code)
+        lam_pad = lam.padded(n) + (0,)
+        assert (first_dominant < sorted_at) == (n > 1 and lam_pad[0] == lam_pad[1]), (lam, n, p)
+        assert len(top_ops) <= n * (n - 1) // 2 and all(i < n for i in top_ops)
+    # lam_1 > lam_2: the chain stops exactly at lam + (n-1, ..., 0)
+    top = _ascent_chain(grassmannian_from_partition((3, 2), 3, 6).word)[0][-1]
+    assert _lehmer_code(top) == (5, 3, 0, 0, 0, 0)
 
 
 def test_cross_method_small_grid():
